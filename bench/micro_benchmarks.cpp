@@ -126,86 +126,34 @@ void BM_GroupTreeChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupTreeChurn);
 
-// --- Membership hot loops: SoA DepthView vs the legacy AoS row table -------
+// --- Membership hot loops over the struct-of-arrays DepthView ------------
 
-/// One view row in the layout this repo shipped with before the intern/SoA
-/// refactor: heap-allocated Address delegates and an inline InterestSummary
-/// per row. Kept as the baseline the BM_*SoA figures are measured against.
-struct LegacyRow {
-  AddrComponent infix = 0;
-  std::uint64_t version = 0;
-  std::uint64_t process_count = 0;
-  bool alive = true;
-  std::vector<Address> delegates;
-  InterestSummary interests;
-};
-
-/// Builds matched populations: `n` rows, 2 delegates each, interests drawn
-/// from a small recurring set (realistic: subscriptions repeat, which is
-/// what lets the SoA path pool them).
-std::vector<LegacyRow> legacy_rows(std::size_t n) {
+/// Builds a view of `n` rows, 2 delegates each, interests drawn from a small
+/// recurring set (realistic: subscriptions repeat, which is what lets the
+/// view pool them).
+void soa_view(std::size_t n, Interns& interns, DepthView& v) {
   Rng rng(9);
-  std::vector<InterestSummary> pool;
+  std::vector<std::shared_ptr<const InterestSummary>> pool;
   for (int i = 0; i < 64; ++i)
-    pool.push_back(
-        InterestSummary::from(interval_subscription(rng.next_double(), 0.05)));
-  std::vector<LegacyRow> rows(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rows[i].infix = static_cast<AddrComponent>(i);
-    rows[i].version = i + 1;
-    rows[i].process_count = 3;
-    rows[i].delegates = {
-        Address(std::vector<AddrComponent>{static_cast<AddrComponent>(i), 0}),
-        Address(std::vector<AddrComponent>{static_cast<AddrComponent>(i), 1}),
-    };
-    rows[i].interests = pool[i % pool.size()];
-  }
-  return rows;
-}
-
-void soa_view_from(const std::vector<LegacyRow>& rows, Interns& interns,
-                   DepthView& v) {
+    pool.push_back(interns.summaries.intern(
+        InterestSummary::from(interval_subscription(rng.next_double(), 0.05))));
   v.bind(interns);
-  for (const auto& row : rows) {
-    ViewRow r;
-    r.infix = row.infix;
-    r.version = row.version;
-    r.process_count = row.process_count;
-    r.alive = row.alive;
-    r.delegates = row.delegates;
-    r.interests = row.interests;
-    v.upsert(r);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto infix = static_cast<AddrComponent>(i);
+    const AddrId delegates[] = {
+        interns.addrs.intern(Address(std::vector<AddrComponent>{infix, 0})),
+        interns.addrs.intern(Address(std::vector<AddrComponent>{infix, 1})),
+    };
+    v.upsert_pooled(infix, delegates, pool[i % pool.size()], 3, i + 1, true);
   }
 }
-
-void BM_RecompactScanLegacyRows(benchmark::State& state) {
-  // The SyncNode::recompact_own_rows inner loop over the old row layout:
-  // merge live interests, gather delegate candidates, sum process counts.
-  const auto rows = legacy_rows(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    InterestSummary summary;
-    std::vector<Address> candidates;
-    std::uint64_t count = 0;
-    for (const auto& row : rows) {
-      if (!row.alive) continue;
-      summary.merge(row.interests);
-      candidates.insert(candidates.end(), row.delegates.begin(),
-                        row.delegates.end());
-      count += row.process_count;
-    }
-    benchmark::DoNotOptimize(count);
-    benchmark::DoNotOptimize(candidates.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RecompactScanLegacyRows)->Arg(1024)->Arg(16384);
 
 void BM_RecompactScanSoA(benchmark::State& state) {
-  // The same scan over the production struct-of-arrays DepthView.
-  const auto rows = legacy_rows(static_cast<std::size_t>(state.range(0)));
+  // The SyncNode::recompact_own_rows inner loop: merge live interests,
+  // gather delegate candidates, sum process counts.
   Interns interns;
   DepthView v;
-  soa_view_from(rows, interns, v);
+  soa_view(static_cast<std::size_t>(state.range(0)), interns, v);
   std::vector<AddrId> candidates;
   for (auto _ : state) {
     InterestSummary summary;
@@ -225,26 +173,11 @@ void BM_RecompactScanSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_RecompactScanSoA)->Arg(1024)->Arg(16384);
 
-void BM_DigestBuildLegacyRows(benchmark::State& state) {
-  // SyncNode::make_digest over the old layout: one (depth, infix, version)
-  // triple per row, pointer-chasing through the AoS rows.
-  const auto rows = legacy_rows(static_cast<std::size_t>(state.range(0)));
-  std::vector<RowDigest> out;
-  for (auto _ : state) {
-    out.clear();
-    for (const auto& row : rows)
-      out.push_back(RowDigest{1, row.infix, row.version});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DigestBuildLegacyRows)->Arg(1024)->Arg(16384);
-
 void BM_DigestBuildSoA(benchmark::State& state) {
-  const auto rows = legacy_rows(static_cast<std::size_t>(state.range(0)));
+  // SyncNode::make_digest: one (depth, infix, version) triple per row.
   Interns interns;
   DepthView v;
-  soa_view_from(rows, interns, v);
+  soa_view(static_cast<std::size_t>(state.range(0)), interns, v);
   std::vector<RowDigest> out;
   for (auto _ : state) {
     out.clear();

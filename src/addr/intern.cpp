@@ -15,8 +15,7 @@ void AddrInternTable::reserve(std::size_t addresses, std::size_t depth) {
   id_of_key_.reserve(addresses * 2);
 }
 
-AddrId AddrInternTable::intern(const Address& a) {
-  const auto& comps = a.components();
+AddrId AddrInternTable::intern(std::span<const AddrComponent> comps) {
   PMC_EXPECTS(!comps.empty());
 
   // Walk/extend the prefix trie, collecting the key of every prefix.
@@ -45,7 +44,8 @@ AddrId AddrInternTable::intern(const Address& a) {
                    static_cast<std::uint32_t>(key_begin),
                    static_cast<std::uint32_t>(comps.size())});
   comps_.insert(comps_.end(), comps.begin(), comps.end());
-  addresses_.push_back(a);
+  addresses_.emplace_back(
+      std::vector<AddrComponent>(comps.begin(), comps.end()));
   return id;
 }
 

@@ -56,7 +56,12 @@ class AddrInternTable {
   void reserve(std::size_t addresses, std::size_t depth);
 
   /// Registers `a` (and all its prefixes) and returns its id; idempotent.
-  AddrId intern(const Address& a);
+  AddrId intern(const Address& a) {
+    return intern(std::span<const AddrComponent>(a.components()));
+  }
+  /// Same, from an address's components; builds an Address only when the
+  /// address is new to the table.
+  AddrId intern(std::span<const AddrComponent> components);
 
   /// The id of an already-interned address; kNoAddr when never interned.
   AddrId find(const Address& a) const;

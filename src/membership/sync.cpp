@@ -210,21 +210,30 @@ void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
   // Reply with every line where our version is strictly newer, plus lines
   // the gossiper does not know at all — restricted to depths the two of us
   // share (tables above the common prefix are about different subgroups).
+  // make_digest lists lines sorted by (depth, infix) and our tables are
+  // infix-sorted, so one merge walk pairs them up. A digest out of that
+  // order (only a foreign encoder could send one) merely draws extra rows,
+  // which the gossiper drops as stale.
   const std::size_t shared =
       view_.self().common_prefix_length(m.sender) + 1;
-  std::vector<DepthRow> newer;
+  RowBatch newer(view_.interns());
+  const auto& digests = m.digests;
+  std::size_t cursor = 0;
   for (std::size_t depth = 1; depth <= std::min(shared, config_.tree.depth);
        ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i) {
       const AddrComponent infix = dv.infix(i);
-      const auto it = std::find_if(
-          m.digests.begin(), m.digests.end(), [&](const RowDigest& d) {
-            return d.depth == depth && d.infix == infix;
-          });
-      if (it == m.digests.end() || it->version < dv.version(i))
-        newer.push_back(
-            DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
+      while (cursor < digests.size() &&
+             (digests[cursor].depth < depth ||
+              (digests[cursor].depth == depth &&
+               digests[cursor].infix < infix)))
+        ++cursor;
+      const bool known = cursor < digests.size() &&
+                         digests[cursor].depth == depth &&
+                         digests[cursor].infix == infix;
+      if (!known || digests[cursor].version < dv.version(i))
+        newer.push(static_cast<std::uint32_t>(depth), dv, i);
     }
   }
   // With ack_digests every digest is answered — an empty update is a pure
@@ -245,14 +254,14 @@ void SyncNode::handle_update(const MembershipUpdateMsg& m) {
   absorb_rows(m.sender, m.rows);
 }
 
-void SyncNode::absorb_rows(const Address& sender,
-                           const std::vector<DepthRow>& rows) {
+void SyncNode::absorb_rows(const Address& sender, const RowBatch& rows) {
   const std::size_t shared =
       view_.self().common_prefix_length(sender) + 1;
-  for (const auto& dr : rows) {
-    if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
-    if (dr.depth > shared) continue;  // not our subgroup's table
-    apply_row(dr.depth, dr.row);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::uint32_t depth = rows.depth(k);
+    if (depth < 1 || depth > config_.tree.depth) continue;
+    if (depth > shared) continue;  // not our subgroup's table
+    apply_row(rows, k);
   }
 }
 
@@ -278,40 +287,41 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
 
   // We are (or act as) an immediate neighbor: insert the joiner and send it
   // everything we know that is valid for its address.
-  ViewRow row;
-  row.infix = m.joiner.component(
-      std::min(shared, config_.tree.depth - 1));
-  row.delegates = {m.joiner};
-  row.interests = InterestSummary::from(m.subscription);
-  row.process_count = 1;
-  row.version = next_version();
-  apply_row(static_cast<std::uint32_t>(
-                std::min(shared + 1, config_.tree.depth)),
-            row);
+  const std::uint64_t version = next_version();
+  const AddrId joiner = addrs().intern(m.joiner);
+  view_.view(std::min(shared + 1, config_.tree.depth))
+      .upsert_pooled(
+          m.joiner.component(std::min(shared, config_.tree.depth - 1)),
+          {&joiner, 1},
+          view_.interns().summaries.intern(
+              InterestSummary::from(m.subscription)),
+          1, version, true);
 
   auto transfer = std::make_shared<ViewTransferMsg>();
   transfer->sender = view_.self();
-  transfer->rows = rows_for(addrs().intern(m.joiner));
+  transfer->rows = rows_for(joiner);
   send(m.joiner_pid, std::move(transfer));
   ++stats_.joins_served;
 }
 
 void SyncNode::handle_view_transfer(const ViewTransferMsg& m) {
   note_contact(m.sender);
-  for (const auto& dr : m.rows) {
-    if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
-    apply_row(dr.depth, dr.row);
+  for (std::size_t k = 0; k < m.rows.size(); ++k) {
+    const std::uint32_t depth = m.rows.depth(k);
+    if (depth < 1 || depth > config_.tree.depth) continue;
+    apply_row(m.rows, k);
   }
   if (!joined_) {
     joined_ = true;
     // Make ourselves visible: our own leaf row, versioned locally.
-    ViewRow self_row;
-    self_row.infix = view_.self().component(config_.tree.depth - 1);
-    self_row.delegates = {view_.self()};
-    self_row.interests = InterestSummary::from(subscription_);
-    self_row.process_count = 1;
-    self_row.version = next_version();
-    view_.view(config_.tree.depth).upsert(self_row);
+    const std::uint64_t version = next_version();
+    const AddrId self = view_.self_id();
+    view_.view(config_.tree.depth)
+        .upsert_pooled(view_.self().component(config_.tree.depth - 1),
+                       {&self, 1},
+                       view_.interns().summaries.intern(
+                           InterestSummary::from(subscription_)),
+                       1, version, true);
   }
 }
 
@@ -325,38 +335,57 @@ void SyncNode::handle_leave(const LeaveMsg& m) {
   tombstone_row(dv, i);
 }
 
-bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row) {
-  version_counter_ = std::max(version_counter_, row.version);
+bool SyncNode::apply_row(const RowBatch& rows, std::size_t k) {
+  const std::uint32_t depth = rows.depth(k);
+  version_counter_ = std::max(version_counter_, rows.version(k));
   // Rebut false suspicion: a live process that learns of its own tombstone
   // republishes its leaf row with a higher version.
-  if (!row.alive && depth == config_.tree.depth &&
-      !row.delegates.empty() && row.delegates.front() == view_.self()) {
-    ViewRow alive_row = row;
-    alive_row.alive = true;
-    alive_row.version = next_version();
+  const auto delegates = rows.delegates(k);
+  if (!rows.alive(k) && depth == config_.tree.depth && !delegates.empty() &&
+      std::ranges::equal(rows.address(delegates.front()),
+                         view_.self().components())) {
     ++stats_.rebuttals;
-    return view_.view(depth).upsert(alive_row);
+    return store_row(rows, k, next_version(), true);
   }
-  DepthView& dv = view_.view(depth);
-  const std::size_t current = dv.find_index(row.infix);
+  // Version first: a row no newer than ours is dropped here, before its
+  // handles are translated or stored.
+  const DepthView& dv = view_.view(depth);
+  const std::size_t current = dv.find_index(rows.infix(k));
+  if (current != DepthView::npos && rows.version(k) <= dv.version(current))
+    return false;
   const bool was_alive = current != DepthView::npos && dv.alive(current);
-  const bool changed = dv.upsert(row);
+  const bool changed = store_row(rows, k, rows.version(k), rows.alive(k));
   // A known-live row absorbed as a tombstone is observed incarnation
   // churn: the raw signal behind the online crash-rate estimate.
-  if (changed && was_alive && !row.alive) ++stats_.deaths_observed;
+  if (changed && was_alive && !rows.alive(k)) ++stats_.deaths_observed;
   return changed;
 }
 
-std::vector<DepthRow> SyncNode::rows_for(AddrId other) const {
+bool SyncNode::store_row(const RowBatch& rows, std::size_t k,
+                         std::uint64_t version, bool alive) {
+  DepthView& dv = view_.view(rows.depth(k));
+  if (rows.interns() == &view_.interns())
+    return dv.upsert_pooled(rows.infix(k), rows.delegates(k),
+                            rows.interests_ptr(k), rows.process_count(k),
+                            version, alive);
+  // Decoded off the wire: the ids are the batch's own, so re-intern.
+  translate_scratch_.clear();
+  for (const AddrId id : rows.delegates(k))
+    translate_scratch_.push_back(addrs().intern(rows.address(id)));
+  return dv.upsert_pooled(rows.infix(k), translate_scratch_,
+                          view_.interns().summaries.intern(rows.interests(k)),
+                          rows.process_count(k), version, alive);
+}
+
+RowBatch SyncNode::rows_for(AddrId other) const {
   const std::size_t shared =
       addrs().common_prefix_length(view_.self_id(), other);
-  std::vector<DepthRow> out;
+  RowBatch out(view_.interns());
   for (std::size_t depth = 1;
        depth <= std::min(shared + 1, config_.tree.depth); ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
-      out.push_back(
-          DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
+      out.push(static_cast<std::uint32_t>(depth), dv, i);
   }
   return out;
 }

@@ -26,8 +26,13 @@
 // neither table mutated since the last pass (the steady-state common case).
 //
 // Hot-path state is interned: peers, neighbors and contact tables hold
-// AddrIds; wire messages keep carrying full Addresses (the codec and all
-// protocol bytes are unchanged by the representation).
+// AddrIds, and rows travel as RowBatch handles (delegate ids, pooled
+// summaries) copied straight out of the view. A receiver checks each row's
+// (infix, version) against its own table first and drops stale rows before
+// touching any address or summary; only rows it stores are translated, and
+// only when the batch came off the wire with its own table. The wire codec
+// resolves handles to components, so protocol bytes are unchanged by the
+// representation.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +69,7 @@ struct MembershipUpdateMsg final : MessageBase {
   MembershipUpdateMsg() noexcept : MessageBase(MsgKind::MembershipUpdate) {}
 
   Address sender;
-  std::vector<DepthRow> rows;
+  RowBatch rows;
 };
 
 struct JoinRequestMsg final : MessageBase {
@@ -80,7 +85,7 @@ struct ViewTransferMsg final : MessageBase {
   ViewTransferMsg() noexcept : MessageBase(MsgKind::ViewTransfer) {}
 
   Address sender;
-  std::vector<DepthRow> rows;  ///< rows valid for the joiner
+  RowBatch rows;  ///< rows valid for the joiner
 };
 
 struct LeaveMsg final : MessageBase {
@@ -203,11 +208,8 @@ class SyncNode final : public Process {
   /// Piggybacking support (Sec. 2.3: "membership information can be
   /// piggybacked when gossiping events"): the rows worth attaching to a
   /// message for `other`, and ingestion of rows that arrived piggybacked.
-  std::vector<DepthRow> rows_to_share(AddrId other) const {
-    return rows_for(other);
-  }
-  void absorb_rows(const Address& sender,
-                   const std::vector<DepthRow>& rows);
+  RowBatch rows_to_share(AddrId other) const { return rows_for(other); }
+  void absorb_rows(const Address& sender, const RowBatch& rows);
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -226,11 +228,18 @@ class SyncNode final : public Process {
   void handle_suspect_reply(const SuspectReplyMsg& m);
   void tombstone_row(DepthView& leaf, std::size_t i);
 
-  /// Applies a row if it is newer; returns true when the view changed.
-  bool apply_row(std::uint32_t depth, const ViewRow& row);
+  /// Applies row k of `rows` if it is newer than ours (version first: a
+  /// stale row is dropped before any address or summary is touched), or
+  /// rebuts it if it tombstones us; returns true when the view changed.
+  bool apply_row(const RowBatch& rows, std::size_t k);
+  /// Stores row k of `rows` at its depth with the given version and alive
+  /// flag, translating its handles into our Interns when it came off the
+  /// wire with a table of its own.
+  bool store_row(const RowBatch& rows, std::size_t k, std::uint64_t version,
+                 bool alive);
   /// Rows of this view relevant for a process with address `other`
   /// (depths 1..common_prefix+1).
-  std::vector<DepthRow> rows_for(AddrId other) const;
+  RowBatch rows_for(AddrId other) const;
   std::vector<RowDigest> make_digest() const;
   /// Recompacts own-subgroup rows at every depth where self is a delegate.
   void recompact_own_rows();
@@ -281,6 +290,7 @@ class SyncNode final : public Process {
   std::vector<AddrId> suspect_scratch_;
   std::vector<AddrId> candidate_scratch_;
   std::vector<AddrId> delegate_scratch_;
+  std::vector<AddrId> translate_scratch_;  ///< store_row() interning buffer
   /// Per-depth (deeper-table, own-table) mutation counters observed by the
   /// last recompaction pass; index = depth-1. The pass is skipped while both
   /// counters are unchanged.

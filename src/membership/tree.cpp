@@ -189,14 +189,12 @@ void GroupTree::rebuild_leaf(const Prefix& leaf_prefix) {
   std::vector<Address> addrs;
   addrs.reserve(n.members.size());
   for (const auto& m : n.members) {
-    ViewRow row;
-    row.infix = m.address.component(config_.depth - 1);
-    row.delegates = {m.address};
-    row.interests = InterestSummary::from(m.subscription);
-    row.process_count = 1;
-    row.version = version_counter_++;
-    summary.merge(row.interests);
-    view.upsert(row);
+    const AddrId id = interns_->addrs.intern(m.address);
+    auto interests =
+        interns_->summaries.intern(InterestSummary::from(m.subscription));
+    summary.merge(*interests);
+    view.upsert_pooled(m.address.component(config_.depth - 1), {&id, 1},
+                       std::move(interests), 1, version_counter_++, true);
     addrs.push_back(m.address);
   }
   n.child_view = std::move(view);
@@ -213,16 +211,17 @@ void GroupTree::push_row_to_parent(const Prefix& child) {
     parent.child_view.erase(child.infix());
     return;
   }
-  ViewRow row;
-  row.infix = child.infix();
-  row.delegates = c.delegates;
-  row.interests = c.summary;
+  delegate_scratch_.clear();
+  for (const auto& d : c.delegates)
+    delegate_scratch_.push_back(interns_->addrs.intern(d));
+  InterestSummary interests = c.summary;
   // The row lives in the depth-(parent length + 1) tables; near the root it
   // may be coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
-  if (child.length() <= options_.coarsen_depth_leq) row.interests.coarsen();
-  row.process_count = c.process_count;
-  row.version = version_counter_++;
-  parent.child_view.upsert(row);
+  if (child.length() <= options_.coarsen_depth_leq) interests.coarsen();
+  parent.child_view.upsert_pooled(
+      child.infix(), delegate_scratch_,
+      interns_->summaries.intern(std::move(interests)), c.process_count,
+      version_counter_++, true);
 }
 
 void GroupTree::recompute_aggregates(Node& n) {

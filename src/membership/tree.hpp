@@ -2,7 +2,7 @@
 //
 // Processes sharing a prefix of length i-1 form a subgroup of depth i; each
 // populated subgroup elects R delegates that also populate the parent node.
-// GroupTree maintains, per prefix, the child view table (one ViewRow per
+// GroupTree maintains, per prefix, the child view table (one row per
 // populated child subgroup: its delegates, regrouped interests and process
 // count), the subgroup's own delegates, and its interest summary.
 //

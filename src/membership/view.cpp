@@ -13,16 +13,6 @@ std::size_t DepthView::find_index(AddrComponent infix) const noexcept {
   return npos;
 }
 
-bool DepthView::upsert(const ViewRow& row) {
-  auto& in = interns();
-  id_scratch_.clear();
-  id_scratch_.reserve(row.delegates.size());
-  for (const auto& d : row.delegates) id_scratch_.push_back(in.addrs.intern(d));
-  return upsert_pooled(row.infix, id_scratch_,
-                       in.summaries.intern(row.interests), row.process_count,
-                       row.version, row.alive);
-}
-
 bool DepthView::upsert_pooled(AddrComponent infix,
                               std::span<const AddrId> delegates,
                               std::shared_ptr<const InterestSummary> interests,
@@ -123,21 +113,6 @@ std::uint64_t DepthView::total_processes() const noexcept {
   for (std::size_t i = 0; i < count_.size(); ++i)
     if (alive_[i]) n += count_[i];
   return n;
-}
-
-ViewRow DepthView::materialize(std::size_t i) const {
-  PMC_EXPECTS(i < infix_.size());
-  ViewRow row;
-  row.infix = infix_[i];
-  const auto ids = delegates(i);
-  row.delegates.reserve(ids.size());
-  for (const AddrId id : ids)
-    row.delegates.push_back(interns().addrs.resolve(id));
-  row.interests = *interests_[i];
-  row.process_count = count_[i];
-  row.version = version_[i];
-  row.alive = alive_[i] != 0;
-  return row;
 }
 
 std::string DepthView::to_string() const {

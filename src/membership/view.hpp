@@ -12,10 +12,12 @@
 // i into parallel arrays (infix, version, count, alive, pooled interest
 // summary, CSR slice of interned delegate ids), so recompact_own_rows and
 // digest construction are linear scans over flat memory and a row costs a
-// few dozen bytes instead of a ViewRow's several heap blocks. The ViewRow
-// struct remains as the *exchange* format — the unit the wire codec encodes
-// and anti-entropy ships — materialized from / interned into the arrays at
-// the network boundary only.
+// few dozen bytes instead of a row object's several heap blocks.
+//
+// Rows cross messages as a RowBatch: the same handles (delegate ids,
+// pooled summary pointers) copied out of the arrays, never materialized.
+// Only the wire codec turns handles back into components, and a receiver
+// compares (infix, version) before it touches any address or summary.
 #pragma once
 
 #include <cstdint>
@@ -48,23 +50,6 @@ struct Interns {
   void reserve(std::size_t processes, std::size_t depth) {
     addrs.reserve(processes, depth);
   }
-};
-
-struct ViewRow {
-  AddrComponent infix = 0;          ///< subgroup's component at this depth
-  std::vector<Address> delegates;   ///< R delegates; the process itself at depth d
-  InterestSummary interests;        ///< regrouped interests of the subgroup
-  std::uint64_t process_count = 0;  ///< processes represented by the row
-  std::uint64_t version = 0;        ///< anti-entropy logical timestamp
-  bool alive = true;                ///< false: tombstone (left or crashed)
-};
-
-/// A row tagged with the depth of the table it belongs to — the unit of
-/// membership exchange (anti-entropy updates, view transfers, and rows
-/// piggybacked on event gossip).
-struct DepthRow {
-  std::uint32_t depth = 0;
-  ViewRow row;
 };
 
 /// One depth's table: rows sorted by infix, unique per infix, stored as
@@ -108,13 +93,9 @@ class DepthView {
     return del_pool_[del_begin_[i]];
   }
 
-  /// Inserts or replaces from the exchange format (interning delegates and
-  /// pooling the summary); on replace the higher version wins (ties keep the
-  /// incumbent). Returns true if the table changed.
-  bool upsert(const ViewRow& row);
-
-  /// Same merge rule, already-interned inputs (the recompaction hot path:
-  /// no Address or summary copies).
+  /// Inserts or replaces a row from already-interned inputs; on replace
+  /// the higher version wins (ties keep the incumbent). Returns true if the
+  /// table changed.
   bool upsert_pooled(AddrComponent infix, std::span<const AddrId> delegates,
                      std::shared_ptr<const InterestSummary> interests,
                      std::uint64_t process_count, std::uint64_t version,
@@ -133,10 +114,6 @@ class DepthView {
   std::size_t live_count() const noexcept;
   /// Sum of process_count over live rows.
   std::uint64_t total_processes() const noexcept;
-
-  /// Rebuilds the exchange-format row byte-for-byte (delegates in published
-  /// order) for wire encodes and anti-entropy replies.
-  ViewRow materialize(std::size_t i) const;
 
   std::string to_string() const;
 
@@ -163,10 +140,120 @@ class DepthView {
   /// dominates.
   std::vector<AddrId> del_pool_;
   std::size_t live_delegates_ = 0;  ///< referenced entries of del_pool_
-  std::vector<AddrId> id_scratch_;     ///< upsert() interning buffer
   std::vector<AddrId> alias_scratch_;  ///< set_delegates() detach buffer
 
   std::uint64_t mutations_ = 0;
+};
+
+/// A snapshot of view rows as they cross a message: the unit of membership
+/// exchange (anti-entropy updates, view transfers, rows piggybacked on
+/// event gossip). Rows are handles, not values — delegates are AddrIds in
+/// one CSR pool, interests are pooled summary handles — so building a batch
+/// from a DepthView copies integers and bumps reference counts.
+///
+/// The ids belong to one of two tables. A batch built in the simulation
+/// refers to the sender's Interns, which every node on the runtime shares,
+/// so a receiver there uses the handles as they are. A batch decoded off
+/// the wire is bound to no Interns: its ids index a flat component list
+/// the batch owns, and a receiver translates the rows it keeps into its
+/// own Interns. address() resolves an id either way.
+///
+/// The destructor never dereferences the Interns: a queued message may
+/// outlive the Interns it was built against (a harness may tear its
+/// Interns down before its Runtime).
+class RowBatch {
+ public:
+  /// A batch over its own address list (see add_address).
+  RowBatch() = default;
+  /// A batch over a shared Interns.
+  explicit RowBatch(const Interns& interns) noexcept : interns_(&interns) {}
+
+  /// The shared table the delegate ids belong to; null when they index the
+  /// batch's own address list.
+  const Interns* interns() const noexcept { return interns_; }
+
+  /// The components of the address behind a delegate id of this batch.
+  std::span<const AddrComponent> address(AddrId id) const {
+    if (interns_ != nullptr) return interns_->addrs.components(id);
+    PMC_EXPECTS(id < comp_end_.size());
+    const std::uint32_t begin = id == 0 ? 0 : comp_end_[id - 1];
+    return {comps_.data() + begin, comp_end_[id] - begin};
+  }
+
+  /// Appends an address to the batch's own list (a batch bound to no
+  /// Interns) and returns its id.
+  AddrId add_address(std::span<const AddrComponent> components) {
+    PMC_EXPECTS(interns_ == nullptr);
+    comps_.insert(comps_.end(), components.begin(), components.end());
+    comp_end_.push_back(static_cast<std::uint32_t>(comps_.size()));
+    return static_cast<AddrId>(comp_end_.size() - 1);
+  }
+
+  std::size_t size() const noexcept { return rows_.size(); }
+  bool empty() const noexcept { return rows_.empty(); }
+
+  /// Appends row i of `view`, which must be bound to this batch's table.
+  void push(std::uint32_t depth, const DepthView& view, std::size_t i) {
+    PMC_EXPECTS(&view.interns() == interns_);
+    push(depth, view.infix(i), view.delegates(i), view.interests_ptr(i),
+         view.process_count(i), view.version(i), view.alive(i));
+  }
+  /// Appends a row from handles of this batch's table.
+  void push(std::uint32_t depth, AddrComponent infix,
+            std::span<const AddrId> delegates,
+            std::shared_ptr<const InterestSummary> interests,
+            std::uint64_t process_count, std::uint64_t version, bool alive) {
+    PMC_EXPECTS(interests != nullptr);
+    rows_.push_back(Row{depth, infix, alive,
+                        static_cast<std::uint32_t>(delegates_.size()),
+                        static_cast<std::uint32_t>(delegates.size()),
+                        process_count, version, std::move(interests)});
+    delegates_.insert(delegates_.end(), delegates.begin(), delegates.end());
+  }
+
+  std::uint32_t depth(std::size_t k) const { return row(k).depth; }
+  AddrComponent infix(std::size_t k) const { return row(k).infix; }
+  std::uint64_t version(std::size_t k) const { return row(k).version; }
+  std::uint64_t process_count(std::size_t k) const {
+    return row(k).process_count;
+  }
+  bool alive(std::size_t k) const { return row(k).alive; }
+  const InterestSummary& interests(std::size_t k) const {
+    return *row(k).interests;
+  }
+  const std::shared_ptr<const InterestSummary>& interests_ptr(
+      std::size_t k) const {
+    return row(k).interests;
+  }
+  /// The row's delegates (ids of this batch's table), in published order.
+  std::span<const AddrId> delegates(std::size_t k) const {
+    const Row& r = row(k);
+    return {delegates_.data() + r.del_begin, r.del_len};
+  }
+
+ private:
+  struct Row {
+    std::uint32_t depth = 0;
+    AddrComponent infix = 0;
+    bool alive = true;
+    std::uint32_t del_begin = 0;  ///< offset into delegates_
+    std::uint32_t del_len = 0;
+    std::uint64_t process_count = 0;
+    std::uint64_t version = 0;
+    std::shared_ptr<const InterestSummary> interests;
+  };
+  const Row& row(std::size_t k) const {
+    PMC_EXPECTS(k < size());
+    return rows_[k];
+  }
+
+  const Interns* interns_ = nullptr;
+  std::vector<Row> rows_;
+  std::vector<AddrId> delegates_;  ///< CSR pool of every row's delegates
+  /// Own address list, used iff interns_ is null: id k's components are
+  /// comps_[comp_end_[k-1], comp_end_[k]).
+  std::vector<AddrComponent> comps_;
+  std::vector<std::uint32_t> comp_end_;
 };
 
 /// The complete membership knowledge of one process: its address plus one

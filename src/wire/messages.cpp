@@ -261,80 +261,95 @@ InterestSummary decode_summary(Reader& r) {
                                      std::move(opaque));
 }
 
-// -- Address / ViewRow ---------------------------------------------------------
+// -- Address / RowBatch --------------------------------------------------------
 
-void encode(Writer& w, const Address& a) {
-  w.varint(a.depth());
-  for (const auto c : a.components()) w.varint(c);
+namespace {
+
+/// An address's bytes, from its components (Address and handle encodes
+/// share this one definition).
+void encode_components(Writer& w, std::span<const AddrComponent> comps) {
+  w.varint(comps.size());
+  for (const auto c : comps) w.varint(c);
 }
 
-Address decode_address(Reader& r) {
+/// Reads one address's components into `out` (replacing its contents).
+void decode_components(Reader& r, std::vector<AddrComponent>& out) {
   const auto depth = checked_count(r);
   if (depth == 0) throw DecodeError("empty address");
-  std::vector<AddrComponent> comps;
-  comps.reserve(static_cast<std::size_t>(depth));
+  out.clear();
+  out.reserve(static_cast<std::size_t>(depth));
   for (std::uint64_t i = 0; i < depth; ++i) {
     const std::uint64_t c = r.varint();
     if (c > std::numeric_limits<AddrComponent>::max())
       throw DecodeError("address component out of range");
-    comps.push_back(static_cast<AddrComponent>(c));
+    out.push_back(static_cast<AddrComponent>(c));
   }
-  return Address(std::move(comps));
 }
 
-void encode(Writer& w, const ViewRow& row) {
-  w.varint(row.infix);
-  w.varint(row.delegates.size());
-  for (const auto& d : row.delegates) encode(w, d);
-  encode(w, row.interests);
-  w.varint(row.process_count);
-  w.varint(row.version);
-  w.boolean(row.alive);
-}
-
-ViewRow decode_view_row(Reader& r) {
-  ViewRow row;
+AddrComponent decode_infix(Reader& r) {
   const std::uint64_t infix = r.varint();
   if (infix > std::numeric_limits<AddrComponent>::max())
     throw DecodeError("infix out of range");
-  row.infix = static_cast<AddrComponent>(infix);
-  const auto delegates = checked_count(r);
-  for (std::uint64_t i = 0; i < delegates; ++i)
-    row.delegates.push_back(decode_address(r));
-  row.interests = decode_summary(r);
-  row.process_count = r.varint();
-  row.version = r.varint();
-  row.alive = r.boolean();
-  return row;
+  return static_cast<AddrComponent>(infix);
 }
 
-// -- Envelope --------------------------------------------------------------------
+}  // namespace
 
-namespace {
+void encode(Writer& w, const Address& a) {
+  encode_components(w, a.components());
+}
 
-void encode_depth_rows(Writer& w, const std::vector<DepthRow>& rows) {
+Address decode_address(Reader& r) {
+  std::vector<AddrComponent> comps;
+  decode_components(r, comps);
+  return Address(std::move(comps));
+}
+
+void encode(Writer& w, const RowBatch& rows) {
   w.varint(rows.size());
-  for (const auto& dr : rows) {
-    w.varint(dr.depth);
-    encode(w, dr.row);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    w.varint(rows.depth(k));
+    w.varint(rows.infix(k));
+    const auto delegates = rows.delegates(k);
+    w.varint(delegates.size());
+    for (const AddrId id : delegates) encode_components(w, rows.address(id));
+    encode(w, rows.interests(k));
+    w.varint(rows.process_count(k));
+    w.varint(rows.version(k));
+    w.boolean(rows.alive(k));
   }
 }
 
-std::vector<DepthRow> decode_depth_rows(Reader& r) {
-  std::vector<DepthRow> rows;
+RowBatch decode_row_batch(Reader& r) {
+  // Decoding is context-free, so the batch keeps its addresses itself; the
+  // receiver translates the rows it stores into its own Interns
+  // (SyncNode::store_row). Summaries are not pooled either — a frame
+  // rarely repeats one.
+  RowBatch rows;
   const auto n = checked_count(r);
+  std::vector<AddrId> ids;
+  std::vector<AddrComponent> comps;
   for (std::uint64_t i = 0; i < n; ++i) {
-    DepthRow dr;
     const std::uint64_t depth = r.varint();
     if (depth == 0 || depth > 0xff) throw DecodeError("bad row depth");
-    dr.depth = static_cast<std::uint32_t>(depth);
-    dr.row = decode_view_row(r);
-    rows.push_back(std::move(dr));
+    const AddrComponent infix = decode_infix(r);
+    const auto delegates = checked_count(r);
+    ids.clear();
+    for (std::uint64_t j = 0; j < delegates; ++j) {
+      decode_components(r, comps);
+      ids.push_back(rows.add_address(comps));
+    }
+    auto interests = std::make_shared<const InterestSummary>(decode_summary(r));
+    const std::uint64_t process_count = r.varint();
+    const std::uint64_t version = r.varint();
+    const bool alive = r.boolean();
+    rows.push(static_cast<std::uint32_t>(depth), infix, ids,
+              std::move(interests), process_count, version, alive);
   }
   return rows;
 }
 
-}  // namespace
+// -- Envelope --------------------------------------------------------------------
 
 // The in-memory kind tag doubles as the wire discriminator; if either enum
 // drifts, these fire rather than the decoder mis-routing bytes.
@@ -376,7 +391,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
       w.boolean(piggybacked);
       if (piggybacked) {
         encode(w, gossip.sender);
-        encode_depth_rows(w, gossip.piggyback);
+        encode(w, gossip.piggyback);
       }
       break;
     }
@@ -395,7 +410,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
     case MsgKind::MembershipUpdate: {
       const auto& update = static_cast<const MembershipUpdateMsg&>(msg);
       encode(w, update.sender);
-      encode_depth_rows(w, update.rows);
+      encode(w, update.rows);
       break;
     }
     case MsgKind::JoinRequest: {
@@ -409,7 +424,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
     case MsgKind::ViewTransfer: {
       const auto& transfer = static_cast<const ViewTransferMsg&>(msg);
       encode(w, transfer.sender);
-      encode_depth_rows(w, transfer.rows);
+      encode(w, transfer.rows);
       break;
     }
     case MsgKind::Leave: {
@@ -493,7 +508,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
         msg->sender = decode_address(r);
-        msg->piggyback = decode_depth_rows(r);
+        msg->piggyback = decode_row_batch(r);
       }
       out = std::move(msg);
       break;
@@ -519,7 +534,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
       msg->sender = decode_address(r);
-      msg->rows = decode_depth_rows(r);
+      msg->rows = decode_row_batch(r);
       out = std::move(msg);
       break;
     }
@@ -535,7 +550,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
       msg->sender = decode_address(r);
-      msg->rows = decode_depth_rows(r);
+      msg->rows = decode_row_batch(r);
       out = std::move(msg);
       break;
     }

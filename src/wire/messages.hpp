@@ -46,8 +46,12 @@ InterestSummary decode_summary(Reader& r);
 void encode(Writer& w, const Address& a);
 Address decode_address(Reader& r);
 
-void encode(Writer& w, const ViewRow& row);
-ViewRow decode_view_row(Reader& r);
+/// A depth-tagged row list: per row its depth, infix, delegate addresses
+/// (ids resolved through the batch's table), interest summary, process
+/// count, version and alive flag. The decoded batch keeps its addresses
+/// itself.
+void encode(Writer& w, const RowBatch& rows);
+RowBatch decode_row_batch(Reader& r);
 
 // -- Protocol envelope ------------------------------------------------------
 

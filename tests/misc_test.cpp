@@ -9,6 +9,7 @@
 #include "harness/workload.hpp"
 #include "membership/tree.hpp"
 #include "sim/time.hpp"
+#include "view_rows.hpp"
 
 namespace pmc {
 namespace {
@@ -54,7 +55,7 @@ TEST(Rendering, DepthViewToStringShowsTombstones) {
   row.delegates = {Address::parse("7.0")};
   row.interests = InterestSummary::from(Subscription());
   row.alive = false;
-  v.upsert(row);
+  upsert_row(v, row);
   EXPECT_NE(v.to_string().find("(gone)"), std::string::npos);
 }
 

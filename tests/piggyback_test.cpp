@@ -79,7 +79,7 @@ Stack make_stack(SimTime sync_period, bool piggyback,
       SyncNode* sync = s.sync_nodes[i].get();
       s.pm_nodes.back()->set_piggyback(
           [sync](AddrId target) { return sync->rows_to_share(target); },
-          [sync](const Address& sender, const std::vector<DepthRow>& rows) {
+          [sync](const Address& sender, const RowBatch& rows) {
             sync->absorb_rows(sender, rows);
           });
     }
@@ -116,10 +116,9 @@ TEST(Piggyback, SpreadsMembershipWithoutDedicatedGossip) {
     auto& leaf = view.view(2);
     const std::size_t i = leaf.find_index(2);
     ASSERT_NE(i, DepthView::npos);
-    ViewRow tomb = leaf.materialize(i);
-    tomb.alive = false;
-    tomb.version += 1000;
-    leaf.upsert(tomb);
+    leaf.upsert_pooled(leaf.infix(i), leaf.delegates(i),
+                       leaf.interests_ptr(i), leaf.process_count(i),
+                       leaf.version(i) + 1000, false);
   }
 
   // A few events published by node 0 spread the row to subgroup peers.

@@ -52,6 +52,41 @@ TEST(ReproGolden, ScenarioDemoWireTranscodeIsTransparent) {
   EXPECT_EQ(s.fingerprint, 0x0709bfc910400cbcULL) << s.to_string();
 }
 
+TEST(ReproGolden, WideGroupWireTranscodeIsTransparent) {
+  // The demo group is 32 addresses wide; here a=8, d=3 (384 live
+  // processes) puts three-level views, multi-delegate rows and long
+  // piggybacked batches through the codec, with churn on every row kind
+  // (joins, crashes, a leave) and publishes throughout. Rows that come
+  // off the wire are translated into the receiver's tables; the run must
+  // not tell the difference.
+  ChurnConfig config = demo_config();
+  config.a = 8;
+  config.d = 3;
+  ScenarioScript script;
+  script.add(sim_ms(100), PublishBurst{4, sim_ms(20)});
+  script.add(sim_ms(150), Join{4});
+  script.add(sim_ms(300), CrashNodes{6});
+  script.add(sim_ms(400), PublishBurst{4, sim_ms(20)});
+  script.add(sim_ms(500), Leave{2});
+  script.add(sim_ms(600), PublishBurst{4, sim_ms(20)});
+  const auto run = [&](bool wire) {
+    config.wire_transcode = wire;
+    ChurnSim sim(config);
+    sim.play(script);
+    sim.run_until(sim_ms(900));
+    return sim.summary();
+  };
+  const ChurnSummary off = run(false);
+  const ChurnSummary on = run(true);
+  // Pinned from the implementation that still shipped materialized rows.
+  EXPECT_EQ(off.fingerprint, 0x5007eaeb945ac1d5ULL) << off.to_string();
+  EXPECT_EQ(on.fingerprint, off.fingerprint) << on.to_string();
+  EXPECT_EQ(on.to_string(), off.to_string());
+  EXPECT_GT(off.counters.delivered, 0u);
+  EXPECT_GT(off.joins_served, 0u);
+  EXPECT_GT(off.membership_tombstones, 0u);
+}
+
 TEST(ReproGolden, ScenarioDemoAdaptive) {
   ChurnConfig config = demo_config();
   config.adaptive = true;

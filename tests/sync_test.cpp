@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "harness/workload.hpp"
+#include "view_rows.hpp"
+#include "wire/messages.hpp"
 
 namespace pmc {
 namespace {
@@ -264,6 +266,132 @@ TEST(SyncNode, JoinBackoffScheduleIsPinned) {
     EXPECT_LE(gap, base + base / 2 + sim_ms(50)) << k;
   }
   EXPECT_EQ(join_send_times(true, sim_ms(4000)), times);
+}
+
+// --- Version first: a stale row costs a lookup, never an intern ------------
+
+/// The mutation counter of every depth of `node`'s view.
+std::vector<std::uint64_t> mutations_of(const SyncNode& node) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t depth = 1; depth <= node.view().config().depth; ++depth)
+    out.push_back(node.view().view(depth).mutations());
+  return out;
+}
+
+/// `rows` as they arrive off the wire: a MembershipUpdate round trip, so
+/// the batch is bound to its own address list, not to any Interns.
+RowBatch through_wire(const RowBatch& rows) {
+  MembershipUpdateMsg update;
+  update.sender = Address::parse("0.1");
+  update.rows = rows;
+  const auto decoded = wire::decode_message(wire::encode_message(update));
+  const RowBatch out = static_cast<const MembershipUpdateMsg&>(*decoded).rows;
+  EXPECT_EQ(out.interns(), nullptr);
+  return out;
+}
+
+/// A row at (depth, infix) whose delegate and summary no cluster process
+/// has: absorbing it may only intern them if the row is actually stored.
+ViewRow foreign_row(AddrComponent infix, std::uint64_t version, bool alive) {
+  ViewRow row;
+  row.infix = infix;
+  row.delegates = {Address::parse("7.7")};
+  row.interests = InterestSummary::from(interval_subscription(0.123, 0.01));
+  row.process_count = 5;
+  row.version = version;
+  row.alive = alive;
+  return row;
+}
+
+TEST(SyncNodeVersionFirst, StaleRowsTouchNoInternsAndNoTables) {
+  auto c = make_sync_cluster(3, 2, 2);
+  SyncNode& node = *c.nodes[0];  // 0.0; its leaf neighbor 0.1 sends
+  const Address sender = c.members[1].address;
+  const auto mutations = mutations_of(node);
+
+  // In-sim: the neighbor's own rows, all at versions node already holds.
+  node.absorb_rows(sender, c.nodes[1]->rows_to_share(node.address_id()));
+  EXPECT_EQ(mutations_of(node), mutations);
+
+  // Off the wire: every row is older than ours at its infix, and carries a
+  // delegate and a summary the runtime has never seen.
+  Interns theirs;
+  RowBatch stale(theirs);
+  for (std::uint32_t depth = 1; depth <= 2; ++depth)
+    for (std::size_t i = 0; i < node.view().view(depth).size(); ++i)
+      push_row(stale, depth,
+               foreign_row(node.view().view(depth).infix(i), 0, i % 2 == 0),
+               theirs);
+  ASSERT_EQ(stale.size(), 6u);
+  const std::size_t addrs = c.interns->addrs.size();
+  const std::size_t summaries = c.interns->summaries.size();
+  node.absorb_rows(sender, through_wire(stale));
+  node.absorb_rows(sender, stale);  // bound to a foreign Interns
+  EXPECT_EQ(c.interns->addrs.size(), addrs);
+  EXPECT_EQ(c.interns->summaries.size(), summaries);
+  EXPECT_EQ(mutations_of(node), mutations);
+  EXPECT_EQ(node.stats().rebuttals, 0u);
+  EXPECT_EQ(node.stats().deaths_observed, 0u);
+}
+
+TEST(SyncNodeVersionFirst, NewerRowAppliesExactlyOnce) {
+  auto c = make_sync_cluster(3, 2, 2);
+  SyncNode& node = *c.nodes[0];
+  const Address sender = c.members[1].address;
+  const DepthView& leaf = node.view().view(2);
+  const std::size_t i = leaf.find_index(2);  // neighbor 0.2
+  ASSERT_NE(i, DepthView::npos);
+  const std::uint64_t version = leaf.version(i) + 1000;
+
+  Interns theirs;
+  RowBatch newer(theirs);
+  push_row(newer, 2, foreign_row(2, version, false), theirs);
+  const RowBatch wire_rows = through_wire(newer);
+  const auto before = mutations_of(node);
+  node.absorb_rows(sender, wire_rows);
+  node.absorb_rows(sender, wire_rows);
+  const auto after = mutations_of(node);
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_EQ(after[1], before[1] + 1);
+  EXPECT_EQ(leaf.version(leaf.find_index(2)), version);
+  EXPECT_FALSE(leaf.alive(leaf.find_index(2)));
+  EXPECT_EQ(c.interns->addrs.resolve(leaf.first_delegate(leaf.find_index(2))),
+            Address::parse("7.7"));
+  EXPECT_EQ(node.stats().deaths_observed, 1u);
+}
+
+TEST(SyncNodeVersionFirst, TombstoneOfSelfStillRebuts) {
+  auto c = make_sync_cluster(3, 2, 2);
+  SyncNode& node = *c.nodes[0];
+  const Address sender = c.members[1].address;
+  const DepthView& leaf = node.view().view(2);
+  const AddrComponent self_infix = node.address().component(1);
+
+  // A stale tombstone of ourselves: version 0, older than our row. It is
+  // rebutted anyway — once per sighting, from either table.
+  ViewRow tomb = materialize_row(leaf, leaf.find_index(self_infix));
+  tomb.alive = false;
+  tomb.version = 0;
+  Interns theirs;
+  RowBatch batch(theirs);
+  push_row(batch, 2, tomb, theirs);
+
+  std::uint64_t last = leaf.version(leaf.find_index(self_infix));
+  RowBatch in_sim(*c.interns);
+  push_row(in_sim, 2, tomb, *c.interns);
+  for (const RowBatch* rows : {&batch, &in_sim}) {
+    node.absorb_rows(sender, through_wire(*rows));
+    const std::size_t i = leaf.find_index(self_infix);
+    EXPECT_TRUE(leaf.alive(i));
+    EXPECT_GT(leaf.version(i), last);
+    last = leaf.version(i);
+    node.absorb_rows(sender, *rows);
+    EXPECT_TRUE(leaf.alive(leaf.find_index(self_infix)));
+    EXPECT_GT(leaf.version(leaf.find_index(self_infix)), last);
+    last = leaf.version(leaf.find_index(self_infix));
+  }
+  EXPECT_EQ(node.stats().rebuttals, 4u);
+  EXPECT_EQ(node.stats().deaths_observed, 0u);
 }
 
 }  // namespace

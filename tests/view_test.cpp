@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "filter/subscription.hpp"
+#include "view_rows.hpp"
 
 namespace pmc {
 namespace {
@@ -28,9 +31,9 @@ struct BoundView {
 
 TEST(DepthView, UpsertInsertsSorted) {
   BoundView b;
-  EXPECT_TRUE(b.v.upsert(row(5, 1)));
-  EXPECT_TRUE(b.v.upsert(row(1, 1)));
-  EXPECT_TRUE(b.v.upsert(row(3, 1)));
+  EXPECT_TRUE(upsert_row(b.v, row(5, 1)));
+  EXPECT_TRUE(upsert_row(b.v, row(1, 1)));
+  EXPECT_TRUE(upsert_row(b.v, row(3, 1)));
   ASSERT_EQ(b.v.size(), 3u);
   EXPECT_EQ(b.v.infix(0), 1);
   EXPECT_EQ(b.v.infix(1), 3);
@@ -39,31 +42,31 @@ TEST(DepthView, UpsertInsertsSorted) {
 
 TEST(DepthView, NewerVersionWins) {
   BoundView b;
-  b.v.upsert(row(1, 1, 10));
-  EXPECT_TRUE(b.v.upsert(row(1, 2, 20)));
+  upsert_row(b.v, row(1, 1, 10));
+  EXPECT_TRUE(upsert_row(b.v, row(1, 2, 20)));
   EXPECT_EQ(b.v.process_count(b.v.find_index(1)), 20u);
   EXPECT_EQ(b.v.size(), 1u);
 }
 
 TEST(DepthView, OlderOrEqualVersionIgnored) {
   BoundView b;
-  b.v.upsert(row(1, 5, 10));
-  EXPECT_FALSE(b.v.upsert(row(1, 5, 99)));
-  EXPECT_FALSE(b.v.upsert(row(1, 3, 99)));
+  upsert_row(b.v, row(1, 5, 10));
+  EXPECT_FALSE(upsert_row(b.v, row(1, 5, 99)));
+  EXPECT_FALSE(upsert_row(b.v, row(1, 3, 99)));
   EXPECT_EQ(b.v.process_count(b.v.find_index(1)), 10u);
 }
 
 TEST(DepthView, FindMissingReturnsNpos) {
   BoundView b;
-  b.v.upsert(row(2, 1));
+  upsert_row(b.v, row(2, 1));
   EXPECT_EQ(b.v.find_index(3), DepthView::npos);
   EXPECT_NE(b.v.find_index(2), DepthView::npos);
 }
 
 TEST(DepthView, Erase) {
   BoundView b;
-  b.v.upsert(row(1, 1));
-  b.v.upsert(row(2, 1));
+  upsert_row(b.v, row(1, 1));
+  upsert_row(b.v, row(2, 1));
   EXPECT_TRUE(b.v.erase(1));
   EXPECT_FALSE(b.v.erase(1));
   EXPECT_EQ(b.v.size(), 1u);
@@ -72,29 +75,29 @@ TEST(DepthView, Erase) {
 
 TEST(DepthView, LiveCountSkipsTombstones) {
   BoundView b;
-  b.v.upsert(row(1, 1, 1, true));
-  b.v.upsert(row(2, 1, 1, false));
-  b.v.upsert(row(3, 1, 1, true));
+  upsert_row(b.v, row(1, 1, 1, true));
+  upsert_row(b.v, row(2, 1, 1, false));
+  upsert_row(b.v, row(3, 1, 1, true));
   EXPECT_EQ(b.v.size(), 3u);
   EXPECT_EQ(b.v.live_count(), 2u);
 }
 
 TEST(DepthView, TotalProcessesSumsLiveRows) {
   BoundView b;
-  b.v.upsert(row(1, 1, 10, true));
-  b.v.upsert(row(2, 1, 20, false));  // tombstoned, not counted
-  b.v.upsert(row(3, 1, 5, true));
+  upsert_row(b.v, row(1, 1, 10, true));
+  upsert_row(b.v, row(2, 1, 20, false));  // tombstoned, not counted
+  upsert_row(b.v, row(3, 1, 5, true));
   EXPECT_EQ(b.v.total_processes(), 15u);
 }
 
-TEST(DepthView, MaterializeReproducesRowBytes) {
+TEST(DepthView, HandlesReproduceTheRow) {
   BoundView b;
   ViewRow r = row(4, 7, 12);
   r.delegates = {Address::parse("4.0.1"), Address::parse("4.0.0")};
-  b.v.upsert(r);
+  upsert_row(b.v, r);
   const std::size_t i = b.v.find_index(4);
   ASSERT_NE(i, DepthView::npos);
-  const ViewRow back = b.v.materialize(i);
+  const ViewRow back = materialize_row(b.v, i);
   EXPECT_EQ(back.infix, r.infix);
   EXPECT_EQ(back.version, r.version);
   EXPECT_EQ(back.process_count, r.process_count);
@@ -108,7 +111,7 @@ TEST(DepthView, DelegatesAreInternedIds) {
   BoundView b;
   ViewRow r = row(2, 1);
   r.delegates = {Address::parse("2.1.1"), Address::parse("2.1.2")};
-  b.v.upsert(r);
+  upsert_row(b.v, r);
   const std::size_t i = b.v.find_index(2);
   const auto ids = b.v.delegates(i);
   ASSERT_EQ(ids.size(), 2u);
@@ -120,10 +123,44 @@ TEST(DepthView, DelegatesAreInternedIds) {
 TEST(DepthView, PooledSummariesAreShared) {
   // Structurally identical summaries collapse onto one pooled instance.
   BoundView b;
-  b.v.upsert(row(1, 1));
-  b.v.upsert(row(2, 1));
+  upsert_row(b.v, row(1, 1));
+  upsert_row(b.v, row(2, 1));
   EXPECT_EQ(b.v.interests_ptr(0).get(), b.v.interests_ptr(1).get());
   EXPECT_EQ(b.interns.summaries.size(), 1u);
+}
+
+TEST(RowBatch, HoldsHandlesAndCopiesDeeply) {
+  BoundView b;
+  ViewRow r = row(4, 7, 12);
+  r.delegates = {Address::parse("4.0.1"), Address::parse("4.0.0")};
+  upsert_row(b.v, r);
+  upsert_row(b.v, row(6, 2));
+
+  RowBatch batch(b.interns);
+  EXPECT_TRUE(batch.empty());
+  batch.push(3, b.v, 0);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.depth(0), 3u);
+  EXPECT_EQ(batch.version(0), 7u);
+  // By handle: the same ids and the same pooled summary as the view.
+  EXPECT_TRUE(std::ranges::equal(batch.delegates(0), b.v.delegates(0)));
+  EXPECT_EQ(batch.interests_ptr(0).get(), b.v.interests_ptr(0).get());
+  EXPECT_TRUE(std::ranges::equal(batch.address(batch.delegates(0)[0]),
+                                 r.delegates[0].components()));
+
+  RowBatch copy = batch;
+  copy.push(3, b.v, 1);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.interns(), &b.interns);
+
+  // A batch bound to no Interns resolves ids through its own list.
+  RowBatch own;
+  const AddrId id = own.add_address(r.delegates[1].components());
+  own.push(1, 4, {&id, 1}, b.v.interests_ptr(0), 1, 1, true);
+  EXPECT_EQ(own.interns(), nullptr);
+  EXPECT_TRUE(std::ranges::equal(own.address(own.delegates(0)[0]),
+                                 r.delegates[1].components()));
 }
 
 TEST(MembershipView, DepthIndexingOneBased) {
@@ -133,8 +170,8 @@ TEST(MembershipView, DepthIndexingOneBased) {
   cfg.redundancy = 2;
   Interns interns;
   MembershipView mv(self, cfg, interns);
-  mv.view(1).upsert(row(0, 1));
-  mv.view(3).upsert(row(7, 1));
+  upsert_row(mv.view(1), row(0, 1));
+  upsert_row(mv.view(3), row(7, 1));
   EXPECT_EQ(mv.view(1).size(), 1u);
   EXPECT_EQ(mv.view(2).size(), 0u);
   EXPECT_EQ(mv.view(3).size(), 1u);
@@ -158,12 +195,12 @@ TEST(MembershipView, KnownProcessesCountsDelegatesPerAppearance) {
   MembershipView mv(self, cfg, interns);
   ViewRow r1 = row(0, 1);
   r1.delegates = {Address::parse("0.0.0"), Address::parse("0.0.1")};
-  mv.view(1).upsert(r1);
+  upsert_row(mv.view(1), r1);
   ViewRow r2 = row(4, 1);
   r2.delegates = {Address::parse("1.4.0")};
-  mv.view(2).upsert(r2);
+  upsert_row(mv.view(2), r2);
   ViewRow dead = row(9, 1, 1, false);
-  mv.view(2).upsert(dead);
+  upsert_row(mv.view(2), dead);
   EXPECT_EQ(mv.known_processes(), 3u);  // 2 + 1, tombstone excluded
 }
 

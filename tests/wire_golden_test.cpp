@@ -14,6 +14,7 @@
 #include "baselines/treecast.hpp"
 #include "common/rng.hpp"
 #include "harness/workload.hpp"
+#include "view_rows.hpp"
 #include "wire/messages.hpp"
 
 namespace pmc {
@@ -37,6 +38,22 @@ std::string to_hex(const std::vector<std::uint8_t>& bytes) {
     out.push_back(digits[b & 0xf]);
   }
   return out;
+}
+
+/// The table behind every fixture's membership rows. It outlives the
+/// messages built over it (a RowBatch holds ids, not addresses).
+Interns& fixture_interns() {
+  static Interns interns;
+  return interns;
+}
+
+/// A batch of (depth, row) pairs over fixture_interns().
+RowBatch fixture_rows(
+    std::initializer_list<std::pair<std::uint32_t, ViewRow>> rows) {
+  RowBatch batch(fixture_interns());
+  for (const auto& [depth, row] : rows)
+    push_row(batch, depth, row, fixture_interns());
+  return batch;
 }
 
 /// The canonical ViewRow shared by the membership fixtures.
@@ -63,7 +80,7 @@ canonical_messages() {
     m->round = 2;
     m->depth = 1;
     m->sender = Address::parse("1.1");
-    m->piggyback.push_back(DepthRow{2, canonical_row()});
+    m->piggyback = fixture_rows({{2, canonical_row()}});
     out.emplace_back("Gossip", std::move(m));
   }
   {
@@ -76,7 +93,7 @@ canonical_messages() {
   {
     auto m = std::make_shared<MembershipUpdateMsg>();
     m->sender = Address::parse("0.1");
-    m->rows.push_back(DepthRow{1, canonical_row()});
+    m->rows = fixture_rows({{1, canonical_row()}});
     out.emplace_back("MembershipUpdate", std::move(m));
   }
   {
@@ -90,7 +107,7 @@ canonical_messages() {
   {
     auto m = std::make_shared<ViewTransferMsg>();
     m->sender = Address::parse("3.0");
-    m->rows.push_back(DepthRow{2, canonical_row()});
+    m->rows = fixture_rows({{2, canonical_row()}});
     out.emplace_back("ViewTransfer", std::move(m));
   }
   {
@@ -262,9 +279,8 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       m->no_regossip = rng.bernoulli(0.2);
       if (rng.bernoulli(0.5)) {
         m->sender = random_address(rng);
-        m->piggyback.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+        const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+        m->piggyback = fixture_rows({{depth, random_row(rng)}});
       }
       return m;
     }
@@ -284,10 +300,11 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       auto m = std::make_shared<MembershipUpdateMsg>();
       m->sender = random_address(rng);
       const std::size_t n = rng.next_below(4);
-      for (std::size_t i = 0; i < n; ++i)
-        m->rows.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+      m->rows = RowBatch(fixture_interns());
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+        push_row(m->rows, depth, random_row(rng), fixture_interns());
+      }
       return m;
     }
     case 4: {
@@ -302,10 +319,11 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       auto m = std::make_shared<ViewTransferMsg>();
       m->sender = random_address(rng);
       const std::size_t n = rng.next_below(4);
-      for (std::size_t i = 0; i < n; ++i)
-        m->rows.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+      m->rows = RowBatch(fixture_interns());
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+        push_row(m->rows, depth, random_row(rng), fixture_interns());
+      }
       return m;
     }
     case 6: {
@@ -379,6 +397,62 @@ TEST(WireGolden, RandomizedRoundTripIsByteStable) {
     const auto m3 = wire::decode_message(b2);
     const auto b3 = wire::encode_message(*m3);
     EXPECT_EQ(to_hex(b3), to_hex(b2)) << "trial " << trial;
+  }
+}
+
+/// The row layout restated from the value form, field by field, without
+/// the codec's row encoder: the oracle the handle encoder is checked
+/// against.
+void encode_value_row(Writer& w, const ViewRow& row) {
+  w.varint(row.infix);
+  w.varint(row.delegates.size());
+  for (const Address& d : row.delegates) {
+    w.varint(d.depth());
+    for (const AddrComponent c : d.components()) w.varint(c);
+  }
+  wire::encode(w, row.interests);
+  w.varint(row.process_count);
+  w.varint(row.version);
+  w.boolean(row.alive);
+}
+
+TEST(WireGolden, HandleBatchEncodesLikeItsRowsAtWidth) {
+  // The simulation ships rows as handles (RowBatch over the sender's
+  // Interns); the bytes must be exactly those of the value rows the
+  // handles stand for, encoded one by one in the depth-tagged layout by
+  // an independent oracle — over wide, multi-depth randomized views, and
+  // again after a decode (a batch over its own address list).
+  Rng rng(0xba7c4e5ULL);
+  for (int trial = 0; trial < 60; ++trial) {
+    Interns interns;
+    std::vector<DepthView> views(1 + rng.next_below(4));
+    for (auto& view : views) {
+      view.bind(interns);
+      const std::size_t rows = rng.next_below(64);
+      for (std::size_t i = 0; i < rows; ++i) upsert_row(view, random_row(rng));
+    }
+    MembershipUpdateMsg update;
+    update.sender = random_address(rng);
+    update.rows = RowBatch(interns);
+    Writer expected;
+    expected.u8(static_cast<std::uint8_t>(wire::MessageTag::MembershipUpdate));
+    wire::encode(expected, update.sender);
+    std::size_t total = 0;
+    for (const auto& view : views) total += view.size();
+    expected.varint(total);
+    for (std::size_t depth = 1; depth <= views.size(); ++depth) {
+      const DepthView& view = views[depth - 1];
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        update.rows.push(static_cast<std::uint32_t>(depth), view, i);
+        expected.varint(depth);
+        encode_value_row(expected, materialize_row(view, i));
+      }
+    }
+    const auto bytes = wire::encode_message(update);
+    ASSERT_EQ(to_hex(bytes), to_hex(expected.data())) << "trial " << trial;
+    const auto decoded = wire::decode_message(bytes);
+    EXPECT_EQ(to_hex(wire::encode_message(*decoded)), to_hex(bytes))
+        << "trial " << trial;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "harness/workload.hpp"
+#include "view_rows.hpp"
 
 namespace pmc {
 namespace {
@@ -215,7 +216,8 @@ TEST(WireAddress, RoundTrip) {
   EXPECT_EQ(out, a);
 }
 
-TEST(WireViewRow, RoundTrip) {
+TEST(WireRowBatch, OneRowRoundTrip) {
+  Interns interns;
   ViewRow row;
   row.infix = 73;
   row.delegates = {Address::parse("128.178.73.3"),
@@ -224,9 +226,15 @@ TEST(WireViewRow, RoundTrip) {
   row.process_count = 21;
   row.version = 99;
   row.alive = false;
-  const auto out = round_trip(row, [](Writer& w, const ViewRow& x) {
+  RowBatch batch(interns);
+  push_row(batch, 2, row, interns);
+  const auto decoded = round_trip(batch, [](Writer& w, const RowBatch& x) {
     wire::encode(w, x);
-  }, [](Reader& r) { return wire::decode_view_row(r); });
+  }, [](Reader& r) { return wire::decode_row_batch(r); });
+  EXPECT_EQ(decoded.interns(), nullptr);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded.depth(0), 2u);
+  const ViewRow out = batch_row(decoded, 0);
   EXPECT_EQ(out.infix, row.infix);
   EXPECT_EQ(out.delegates, row.delegates);
   EXPECT_EQ(out.process_count, row.process_count);
@@ -267,6 +275,7 @@ TEST(WireMessage, MembershipDigestEnvelope) {
 }
 
 TEST(WireMessage, AllEnvelopesRoundTrip) {
+  Interns interns;  // the membership rows' table; outlives the messages
   std::vector<std::shared_ptr<MessageBase>> messages;
   {
     auto m = std::make_shared<MembershipUpdateMsg>();
@@ -277,7 +286,8 @@ TEST(WireMessage, AllEnvelopesRoundTrip) {
     row.interests = InterestSummary::from(Subscription());
     row.process_count = 1;
     row.version = 5;
-    m->rows.push_back(DepthRow{2, row});
+    m->rows = RowBatch(interns);
+    push_row(m->rows, 2, row, interns);
     messages.push_back(std::move(m));
   }
   {
@@ -348,6 +358,7 @@ TEST(WireMessage, FuzzRandomBytesNeverCrash) {
 }
 
 TEST(WireMessage, FuzzTruncationsOfValidMessage) {
+  Interns interns;
   MembershipUpdateMsg msg;
   msg.sender = Address::parse("1.2.3");
   ViewRow row;
@@ -356,7 +367,8 @@ TEST(WireMessage, FuzzTruncationsOfValidMessage) {
   row.interests = InterestSummary::from(Subscription::parse("b > 0"));
   row.process_count = 3;
   row.version = 8;
-  msg.rows.push_back(DepthRow{1, row});
+  msg.rows = RowBatch(interns);
+  push_row(msg.rows, 1, row, interns);
   const auto bytes = wire::encode_message(msg);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     try {

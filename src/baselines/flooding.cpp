@@ -20,20 +20,21 @@ FloodingNode::FloodingNode(Runtime& rt, ProcessId pid, FloodingConfig config,
 void FloodingNode::broadcast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  if (EventDedup::Slot* fresh = dedup_.insert(ev->id()))
+    deliver_if_interested(*ev, *fresh);
   buffer(Entry{std::move(ev), 0});
 }
 
 void FloodingNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::FloodGossip) return;
   const auto& gossip = static_cast<const FloodGossipMsg&>(*msg);
-  if (!seen_.insert(gossip.event->id()).second) {
+  EventDedup::Slot* const fresh = dedup_.insert(gossip.event->id());
+  if (fresh == nullptr) {
     ++stats_.dup_suppressed;
     return;
   }
   ++stats_.received;
-  deliver_if_interested(*gossip.event);
+  deliver_if_interested(*gossip.event, *fresh);
   buffer(Entry{gossip.event, gossip.round});
 }
 
@@ -76,9 +77,10 @@ void FloodingNode::buffer(Entry entry) {
   if (!periodic_armed()) arm_periodic(config_.period);
 }
 
-void FloodingNode::deliver_if_interested(const Event& e) {
+void FloodingNode::deliver_if_interested(const Event& e,
+                                        EventDedup::Slot& slot) {
   if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
+  slot.delivered = true;
   ++stats_.delivered;
   if (deliver_) deliver_(e);
 }

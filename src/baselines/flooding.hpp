@@ -8,10 +8,10 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/rounds.hpp"
+#include "event/dedup.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
 #include "sim/runtime.hpp"
@@ -48,16 +48,16 @@ class FloodingNode final : public Process {
   }
 
   bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
+  bool has_received(const EventId& id) const { return dedup_.received(id); }
   bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
+    return dedup_.delivered(id);
   }
 
   struct Stats {
     std::uint64_t received = 0;
     std::uint64_t delivered = 0;
     std::uint64_t gossips_sent = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
+    /// Duplicates discarded by the dedup table (exactly-once audit trail
     /// under the network's duplication injector).
     std::uint64_t dup_suppressed = 0;
   };
@@ -74,7 +74,8 @@ class FloodingNode final : public Process {
   };
 
   void buffer(Entry entry);
-  void deliver_if_interested(const Event& e);
+  /// Delivers a first receipt, whose dedup slot is `slot`.
+  void deliver_if_interested(const Event& e, EventDedup::Slot& slot);
 
   FloodingConfig config_;
   Subscription subscription_;
@@ -83,8 +84,7 @@ class FloodingNode final : public Process {
   DeliverHandler deliver_;
   std::vector<Entry> buffer_;
   std::vector<ProcessId> targets_;  ///< fan-out scratch for send_multi
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
+  EventDedup dedup_;
   Stats stats_;
 };
 

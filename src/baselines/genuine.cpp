@@ -18,20 +18,21 @@ GenuineNode::GenuineNode(Runtime& rt, ProcessId pid, GenuineConfig config,
 void GenuineNode::multicast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  if (EventDedup::Slot* fresh = dedup_.insert(ev->id()))
+    deliver_if_interested(*ev, *fresh);
   buffer(Entry{std::move(ev), 0});
 }
 
 void GenuineNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::GenuineGossip) return;
   const auto& gossip = static_cast<const GenuineGossipMsg&>(*msg);
-  if (!seen_.insert(gossip.event->id()).second) {
+  EventDedup::Slot* const fresh = dedup_.insert(gossip.event->id());
+  if (fresh == nullptr) {
     ++stats_.dup_suppressed;
     return;
   }
   ++stats_.received;
-  deliver_if_interested(*gossip.event);
+  deliver_if_interested(*gossip.event, *fresh);
   buffer(Entry{gossip.event, gossip.round});
 }
 
@@ -83,9 +84,10 @@ void GenuineNode::buffer(Entry entry) {
   if (!periodic_armed()) arm_periodic(config_.period);
 }
 
-void GenuineNode::deliver_if_interested(const Event& e) {
+void GenuineNode::deliver_if_interested(const Event& e,
+                                       EventDedup::Slot& slot) {
   if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
+  slot.delivered = true;
   ++stats_.delivered;
   if (deliver_) deliver_(e);
 }

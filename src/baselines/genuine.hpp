@@ -10,10 +10,10 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/rounds.hpp"
+#include "event/dedup.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
 #include "sim/runtime.hpp"
@@ -56,16 +56,16 @@ class GenuineNode final : public Process {
   }
 
   bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
+  bool has_received(const EventId& id) const { return dedup_.received(id); }
   bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
+    return dedup_.delivered(id);
   }
 
   struct Stats {
     std::uint64_t received = 0;
     std::uint64_t delivered = 0;
     std::uint64_t gossips_sent = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
+    /// Duplicates discarded by the dedup table (exactly-once audit trail
     /// under the network's duplication injector).
     std::uint64_t dup_suppressed = 0;
   };
@@ -82,7 +82,8 @@ class GenuineNode final : public Process {
   };
 
   void buffer(Entry entry);
-  void deliver_if_interested(const Event& e);
+  /// Delivers a first receipt, whose dedup slot is `slot`.
+  void deliver_if_interested(const Event& e, EventDedup::Slot& slot);
 
   GenuineConfig config_;
   Subscription subscription_;
@@ -90,8 +91,7 @@ class GenuineNode final : public Process {
   RoundEstimator estimator_;
   DeliverHandler deliver_;
   std::vector<Entry> buffer_;
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
+  EventDedup dedup_;
   Stats stats_;
 };
 

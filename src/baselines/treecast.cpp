@@ -22,8 +22,8 @@ TreecastNode::TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
 void TreecastNode::multicast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  if (EventDedup::Slot* fresh = dedup_.insert(ev->id()))
+    deliver_if_interested(*ev, *fresh);
   forward_from(ev, 1);
 }
 
@@ -31,12 +31,13 @@ void TreecastNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::Treecast) return;
   const auto& m = static_cast<const TreecastMsg&>(*msg);
   PMC_EXPECTS(m.event != nullptr);
-  if (!seen_.insert(m.event->id()).second) {
+  EventDedup::Slot* const fresh = dedup_.insert(m.event->id());
+  if (fresh == nullptr) {
     ++stats_.dup_suppressed;
     return;
   }
   ++stats_.received;
-  deliver_if_interested(*m.event);
+  deliver_if_interested(*m.event, *fresh);
   if (m.depth <= config_.tree.depth) forward_from(m.event, m.depth);
 }
 
@@ -63,9 +64,10 @@ void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
   }
 }
 
-void TreecastNode::deliver_if_interested(const Event& e) {
+void TreecastNode::deliver_if_interested(const Event& e,
+                                        EventDedup::Slot& slot) {
   if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
+  slot.delivered = true;
   ++stats_.delivered;
   if (deliver_) deliver_(e);
 }

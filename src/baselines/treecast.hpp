@@ -14,8 +14,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
+#include "event/dedup.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
 #include "pmcast/view_provider.hpp"
@@ -51,16 +51,16 @@ class TreecastNode final : public Process {
 
   const Address& address() const noexcept { return self_; }
   bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
+  bool has_received(const EventId& id) const { return dedup_.received(id); }
   bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
+    return dedup_.delivered(id);
   }
 
   struct Stats {
     std::uint64_t received = 0;
     std::uint64_t delivered = 0;
     std::uint64_t forwards = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
+    /// Duplicates discarded by the dedup table (exactly-once audit trail
     /// under the network's duplication injector).
     std::uint64_t dup_suppressed = 0;
   };
@@ -75,7 +75,8 @@ class TreecastNode final : public Process {
   /// loop locally.
   void forward_from(const std::shared_ptr<const Event>& event,
                     std::size_t start_depth);
-  void deliver_if_interested(const Event& e);
+  /// Delivers a first receipt, whose dedup slot is `slot`.
+  void deliver_if_interested(const Event& e, EventDedup::Slot& slot);
 
   TreecastConfig config_;
   Address self_;
@@ -84,8 +85,7 @@ class TreecastNode final : public Process {
   const ViewProvider* views_;
   Directory directory_;
   DeliverHandler deliver_;
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
+  EventDedup dedup_;
   Stats stats_;
 };
 

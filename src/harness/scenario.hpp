@@ -349,7 +349,7 @@ struct GroupSummary {
   /// Eq. 11 bound collapses observed across all processes
   /// (PmcastNode::Stats::bound_collapsed).
   std::uint64_t bound_collapsed = 0;
-  /// Duplicate gossips/payloads discarded by the receivers' seen-set
+  /// Duplicate gossips/payloads discarded by the receivers' dedup tables
   /// (summed PmcastNode::Stats::dup_suppressed) — the exactly-once ledger
   /// the duplication injector is audited against.
   std::uint64_t dup_suppressed = 0;

@@ -47,7 +47,7 @@ bool DepthView::store(std::size_t i, std::span<const AddrId> delegates,
   count_[i] = process_count;
   version_[i] = version;
   alive_[i] = alive ? 1 : 0;
-  ++mutations_;
+  ++mutations_.n;
   return true;
 }
 
@@ -99,7 +99,7 @@ bool DepthView::erase(AddrComponent infix) {
   interests_.erase(interests_.begin() + d);
   del_begin_.erase(del_begin_.begin() + d);
   del_len_.erase(del_len_.begin() + d);
-  ++mutations_;
+  ++mutations_.n;
   return true;
 }
 

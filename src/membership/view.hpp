@@ -20,6 +20,7 @@
 // compares (infix, version) before it touches any address or summary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -105,10 +106,12 @@ class DepthView {
   /// anti-entropy-visible departures).
   bool erase(AddrComponent infix);
 
-  /// Bumped on every change (upsert that took effect, erase). Lets callers
-  /// cache derived state — recompaction skips depths whose inputs did not
-  /// change since the last pass.
-  std::uint64_t mutations() const noexcept { return mutations_; }
+  /// Bumped on every change (upsert that took effect, erase) and when
+  /// another view is assigned over this one, so a view's address and this
+  /// count together name its contents. Lets callers cache derived state —
+  /// recompaction skips depths whose inputs did not change since the last
+  /// pass, and PmcastNode reuses an event's row matches.
+  std::uint64_t mutations() const noexcept { return mutations_.n; }
 
   /// Number of live rows.
   std::size_t live_count() const noexcept;
@@ -142,7 +145,18 @@ class DepthView {
   std::size_t live_delegates_ = 0;  ///< referenced entries of del_pool_
   std::vector<AddrId> alias_scratch_;  ///< set_delegates() detach buffer
 
-  std::uint64_t mutations_ = 0;
+  /// Assignment advances past both operands' counts instead of copying:
+  /// GroupTree::rebuild_leaf move-assigns a fresh table over a live one.
+  struct MutationCount {
+    std::uint64_t n = 0;
+    MutationCount() = default;
+    MutationCount(const MutationCount&) = default;
+    MutationCount& operator=(const MutationCount& other) noexcept {
+      n = std::max(n, other.n) + 1;
+      return *this;
+    }
+  };
+  MutationCount mutations_;
 };
 
 /// A snapshot of view rows as they cross a message: the unit of membership

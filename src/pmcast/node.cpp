@@ -27,8 +27,8 @@ void PmcastNode::pmcast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
   ++stats_.published;
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  if (EventDedup::Slot* fresh = dedup_.insert(ev->id()))
+    deliver_if_interested(*ev, *fresh);
 
   // Sec. 3.2: start at the root, but skip depths where the interest is
   // confined to our own subtree — the event is of "local" interest there.
@@ -50,8 +50,9 @@ void PmcastNode::pmcast(Event event) {
     }
   }
 
-  const double rate = rate_at(depth, *ev);
-  buffer_event(depth, Entry{std::move(ev), rate, 0});
+  RowMatch match;
+  const double rate = rate_at(depth, *ev, match);
+  buffer_event(depth, Entry{std::move(ev), rate, 0, std::move(match)});
 }
 
 void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
@@ -78,7 +79,8 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
     piggyback_sink_(gossip.sender, gossip.piggyback);
 
   // Fig. 3 lines 20-23 (with whole-lifetime dedup, see header).
-  if (!seen_.insert(gossip.event->id()).second) {
+  EventDedup::Slot* const fresh = dedup_.insert(gossip.event->id());
+  if (fresh == nullptr) {
     ++stats_.dup_suppressed;
     return;
   }
@@ -87,13 +89,14 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
     // Leaf flood (Sec. 6): the sender already addressed every interested
     // neighbor, so there is nothing left to gossip — deliver, and keep the
     // payload only for the optional digest-recovery phase.
-    deliver_if_interested(*gossip.event);
+    deliver_if_interested(*gossip.event, *fresh);
     retain_for_recovery(gossip.event);
     if (!store_.empty() && !periodic_armed()) arm_periodic(config_.period);
     return;
   }
-  buffer_event(gossip.depth, Entry{gossip.event, gossip.rate, gossip.round});
-  deliver_if_interested(*gossip.event);
+  buffer_event(gossip.depth,
+               Entry{gossip.event, gossip.rate, gossip.round, {}});
+  deliver_if_interested(*gossip.event, *fresh);
 }
 
 void PmcastNode::on_period() {
@@ -110,12 +113,14 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
   // Re-evaluated every period and depth: with an adaptive env source the
   // Eq. 11 bound follows the live ε/τ estimate instead of the frozen prior.
   const EnvParams env = live_env();
+  const DepthView& view = views_->view(self_, depth);
   std::vector<Entry> promoted;
   auto it = entries.begin();
   while (it != entries.end()) {
     Entry& entry = *it;
     double local_rate = 0.0;  // recomputed, used only by the candidate list
-    candidates_at(depth, *entry.event, gossip_scratch_, local_rate);
+    candidates_at(view, *entry.event, entry.match, gossip_scratch_,
+                  local_rate);
     const auto& candidates = gossip_scratch_;
 
     // Sec. 6 mechanism: dense interest at the leaf depth — flood the
@@ -224,8 +229,10 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       if (entry.round == 0 && interested > 0.0) ++stats_.bound_collapsed;
       if (depth < config_.tree.depth) {
         auto ev = std::move(entry.event);
-        const double next_rate = rate_at(depth + 1, *ev);
-        promoted.push_back(Entry{std::move(ev), next_rate, 0});
+        RowMatch match;
+        const double next_rate = rate_at(depth + 1, *ev, match);
+        promoted.push_back(
+            Entry{std::move(ev), next_rate, 0, std::move(match)});
       } else {
         retain_for_recovery(std::move(entry.event));
       }
@@ -239,15 +246,25 @@ std::size_t tuning_start_index(const EventId& id, std::size_t n) {
   return n == 0 ? 0 : EventIdHash{}(id) % n;
 }
 
-void PmcastNode::candidates_at(std::size_t depth, const Event& e,
-                               std::vector<Candidate>& out,
+void PmcastNode::candidates_at(const DepthView& view, const Event& e,
+                               RowMatch& match, std::vector<Candidate>& out,
                                double& rate_out) const {
-  const DepthView& view = views_->view(self_, depth);
+  // The stamp compares the view's address for equality only.
+  if (match.view != &view || match.mutations != view.mutations()) {
+    match.view = &view;
+    match.mutations = view.mutations();
+    match.bits.assign((view.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      if (view.alive(i) && view.interests(i).match(e))
+        match.bits[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+
   out.clear();
   std::size_t interested = 0;
   for (std::size_t i = 0; i < view.size(); ++i) {
     if (!view.alive(i)) continue;
-    const bool row_interested = view.interests(i).match(e);
+    const bool row_interested = (match.bits[i / 64] >> (i % 64)) & 1;
     for (const AddrId id : view.delegates(i)) {
       if (id == self_id_) continue;
       out.push_back(Candidate{id, row_interested});
@@ -277,9 +294,10 @@ void PmcastNode::candidates_at(std::size_t depth, const Event& e,
                        static_cast<double>(out.size());
 }
 
-double PmcastNode::rate_at(std::size_t depth, const Event& e) const {
+double PmcastNode::rate_at(std::size_t depth, const Event& e,
+                           RowMatch& match) const {
   double rate = 0.0;
-  candidates_at(depth, e, rate_scratch_, rate);
+  candidates_at(views_->view(self_, depth), e, match, rate_scratch_, rate);
   return rate;
 }
 
@@ -295,9 +313,10 @@ void PmcastNode::buffer_event(std::size_t depth, Entry entry) {
   if (!periodic_armed()) arm_periodic(config_.period);
 }
 
-void PmcastNode::deliver_if_interested(const Event& e) {
+void PmcastNode::deliver_if_interested(const Event& e,
+                                       EventDedup::Slot& slot) {
   if (!subscription_.match(e)) return;
-  if (!delivered_ids_.insert(e.id()).second) return;
+  slot.delivered = true;
   ++stats_.delivered;
   if (deliver_) deliver_(e);
 }
@@ -370,7 +389,7 @@ void PmcastNode::handle_digest(ProcessId from, const EventDigestMsg& m) {
   if (config_.recovery_rounds == 0) return;
   std::vector<EventId> missing;
   for (const auto& id : m.ids) {
-    if (seen_.count(id) == 0) missing.push_back(id);
+    if (!dedup_.received(id)) missing.push_back(id);
   }
   if (missing.empty()) return;
   auto request = std::make_shared<EventRequestMsg>();
@@ -390,13 +409,14 @@ void PmcastNode::handle_request(ProcessId from, const EventRequestMsg& m) {
 void PmcastNode::handle_payload(const EventPayloadMsg& m) {
   for (const auto& event : m.events) {
     if (event == nullptr) continue;
-    if (!seen_.insert(event->id()).second) {
+    EventDedup::Slot* const fresh = dedup_.insert(event->id());
+    if (fresh == nullptr) {
       ++stats_.dup_suppressed;
       continue;
     }
     ++stats_.received;
     ++stats_.recoveries;
-    deliver_if_interested(*event);
+    deliver_if_interested(*event, *fresh);
     // Retain the recovered payload so it can serve further requests, and
     // keep the periodic task alive for the digest rounds.
     retain_for_recovery(event);

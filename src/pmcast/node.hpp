@@ -13,18 +13,19 @@
 // Deviations from the paper's pseudocode, argued in DESIGN.md §2:
 //   * PMCAST inserts at depth 1 (the root), per the paper's prose;
 //   * the leaf-depth view size is not multiplied by R;
-//   * a per-node `seen` set deduplicates events across their whole lifetime
-//     (Fig. 3 line 20 only checks the live buffers), so HPDELIVER fires at
-//     most once per event;
+//   * a per-node EventDedup table remembers every event id across the
+//     node's whole lifetime (Fig. 3 line 20 only checks the live buffers):
+//     a duplicate is dropped before it is re-buffered, and HPDELIVER fires
+//     at most once per event;
 //   * a node never gossips to itself.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "event/dedup.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
 #include "pmcast/config.hpp"
@@ -135,9 +136,9 @@ class PmcastNode final : public Process {
   const Subscription& subscription() const noexcept { return subscription_; }
 
   bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
+  bool has_received(const EventId& id) const { return dedup_.received(id); }
   bool has_delivered(const EventId& id) const {
-    return delivered_ids_.count(id) != 0;
+    return dedup_.delivered(id);
   }
 
   struct Stats {
@@ -155,7 +156,7 @@ class PmcastNode final : public Process {
     std::uint64_t leaf_floods = 0;  ///< Sec. 6 leaf-flood activations
     std::uint64_t digests_sent = 0;
     std::uint64_t recoveries = 0;  ///< events obtained via retransmission
-    /// Duplicate events discarded by the whole-lifetime seen-set (gossip
+    /// Duplicate events discarded by the whole-lifetime dedup table (gossip
     /// and recovery-payload paths). Under the network's duplication
     /// injector this is the exactly-once audit trail: every duplicate the
     /// wire manufactures lands here, never in `delivered`.
@@ -170,10 +171,23 @@ class PmcastNode final : public Process {
   void on_period() override;
 
  private:
+  /// One event's interest-match bits against the rows of one depth view:
+  /// bit i is set iff row i is alive and its regrouped interests match.
+  /// Stamped with the view and its mutations() count, so the bits are
+  /// reused for as long as the view is unchanged. Summaries and events are
+  /// immutable, and every row change bumps mutations(), so reused bits
+  /// equal freshly computed ones.
+  struct RowMatch {
+    const DepthView* view = nullptr;
+    std::uint64_t mutations = 0;
+    std::vector<std::uint64_t> bits;
+  };
+
   struct Entry {
     std::shared_ptr<const Event> event;
     double rate = 0.0;
     std::uint32_t round = 0;
+    RowMatch match;  ///< against the view of the depth buffering the entry
   };
 
   /// One view member that could be gossiped to.
@@ -182,20 +196,24 @@ class PmcastNode final : public Process {
     bool interested = false;
   };
 
-  /// Enumerates the view members at `depth` (excluding self) into `out`
+  /// Enumerates the members of `view` (excluding self) into `out`
   /// (cleared first), marking each as interested per its row's regrouped
   /// interests, with the Sec. 5.3 tuning applied. Returns the effective
-  /// matching rate via `rate_out`. Callers pass a long-lived scratch buffer
-  /// so the candidate vector is not reallocated every round at every depth.
-  void candidates_at(std::size_t depth, const Event& e,
+  /// matching rate via `rate_out`. The row matches come from `match`,
+  /// recomputed first if its stamp is not `view`'s current one. Callers
+  /// pass a long-lived scratch buffer so the candidate vector is not
+  /// reallocated every round at every depth.
+  void candidates_at(const DepthView& view, const Event& e, RowMatch& match,
                      std::vector<Candidate>& out, double& rate_out) const;
 
-  /// Fig. 3's GETRATE: effective matching rate at `depth`.
-  double rate_at(std::size_t depth, const Event& e) const;
+  /// Fig. 3's GETRATE: effective matching rate at `depth`. Leaves the row
+  /// matches in `match` for the entry that will be buffered there.
+  double rate_at(std::size_t depth, const Event& e, RowMatch& match) const;
 
   void buffer_event(std::size_t depth, Entry entry);
   void gossip_entries_at(std::size_t depth);
-  void deliver_if_interested(const Event& e);
+  /// Delivers a first receipt, whose dedup slot is `slot`.
+  void deliver_if_interested(const Event& e, EventDedup::Slot& slot);
   bool buffers_empty() const noexcept;
   std::size_t buffered_total() const noexcept;
 
@@ -231,8 +249,7 @@ class PmcastNode final : public Process {
   /// message goes out through Network::send_multi instead of F copies.
   std::vector<ProcessId> target_scratch_;
 
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_ids_;
+  EventDedup dedup_;
 
   /// Events retained for digest recovery, with remaining digest rounds.
   /// A FlatMap so recovery digests enumerate ids in EventId order — with an

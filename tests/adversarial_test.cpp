@@ -64,7 +64,7 @@ TEST(Adversarial, PmcastExactlyOnceUnderDuplicationAndReorder) {
   EXPECT_EQ(log.max_per_target(), 1)
       << "a process delivered the same event twice";
   // The injectors must actually have fired, and the duplicates must have
-  // been absorbed by the seen-set (the audit counters say which).
+  // been absorbed by the dedup table (the audit counters say which).
   EXPECT_GT(c.runtime->network().counters().duplicated, 0u);
   EXPECT_GT(c.runtime->network().counters().reordered, 0u);
   std::uint64_t suppressed = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster_helpers.hpp"
 
 namespace pmc {
@@ -264,6 +266,192 @@ TEST(PmcastNode, WorksWithLocalViewProvider) {
   for (const auto& n : nodes)
     if (n->has_delivered(EventId{4, 0})) ++delivered;
   EXPECT_GE(delivered, 8u);
+}
+
+/// Records every gossip delivered to it, for tests that check exactly whom
+/// a node addressed in which round.
+class GossipRecorder final : public Process {
+ public:
+  using Process::Process;
+
+  struct Receipt {
+    std::uint32_t depth = 0;
+    std::uint32_t round = 0;
+    double rate = 0.0;
+  };
+  std::vector<Receipt> receipts;
+
+  bool got(std::uint32_t depth, std::uint32_t round) const {
+    return std::any_of(receipts.begin(), receipts.end(),
+                       [&](const Receipt& r) {
+                         return r.depth == depth && r.round == round;
+                       });
+  }
+
+ protected:
+  void on_message(ProcessId, const MessagePtr& msg) override {
+    if (msg->kind != MsgKind::Gossip) return;
+    const auto& g = static_cast<const GossipMsg&>(*msg);
+    receipts.push_back({g.depth, g.round, g.rate});
+  }
+};
+
+/// One publisher over its own LocalViewProvider; every other process only
+/// records what it receives. The fanout exceeds every view, so each round
+/// addresses exactly the interested members: the round's targets are a
+/// function of the view alone.
+struct MemoRig {
+  std::vector<Member> members;
+  Interns interns;
+  std::unique_ptr<GroupTree> tree;
+  std::unique_ptr<MembershipView> view;
+  std::unique_ptr<LocalViewProvider> provider;
+  Runtime rt{NetworkConfig{}, 17};
+  std::vector<ProcessId> dir;
+  std::unique_ptr<PmcastNode> publisher;
+  std::vector<std::unique_ptr<GossipRecorder>> recorders;  // index = pid - 1
+  Event event = make_event_at(0, 0, 0.5);
+
+  MemoRig() {
+    Rng rng(5);
+    members = uniform_interest_members(AddressSpace::regular(4, 2), 1.0, rng);
+    TreeConfig tc;
+    tc.depth = 2;
+    tc.redundancy = 2;
+    tree = std::make_unique<GroupTree>(tc, members, interns);
+    view = std::make_unique<MembershipView>(
+        tree->materialize_view(members[0].address));
+    provider = std::make_unique<LocalViewProvider>(*view);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const AddrId id = interns.addrs.intern(members[i].address);
+      if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
+      dir[id] = static_cast<ProcessId>(i);
+    }
+    PmcastConfig config = testing::default_config();
+    config.tree = tc;
+    config.fanout = 64;
+    config.pittel_c = 10.0;  // many rounds per depth
+    config.local_interest_shortcut = false;
+    publisher = std::make_unique<PmcastNode>(
+        rt, 0, config, members[0].address, members[0].subscription,
+        *provider, [this](AddrId id) {
+          return id < dir.size() ? dir[id] : kNoProcess;
+        });
+    for (std::size_t i = 1; i < members.size(); ++i)
+      recorders.push_back(
+          std::make_unique<GossipRecorder>(rt, static_cast<ProcessId>(i)));
+  }
+
+  /// Runs until the publisher has executed `rounds` rounds in total and
+  /// their gossips have landed.
+  void run_to_round(std::uint64_t rounds) {
+    while (publisher->stats().rounds_run < rounds) rt.run_for(sim_ms(1));
+    rt.run_for(sim_ms(2));
+  }
+
+  /// Fresh enumeration: the pids of `depth`'s interested members.
+  std::vector<ProcessId> expected_targets(std::size_t depth) const {
+    const DepthView& dv = view->view(depth);
+    std::vector<ProcessId> out;
+    for (std::size_t i = 0; i < dv.size(); ++i) {
+      if (!dv.alive(i) || !dv.interests(i).match(event)) continue;
+      for (const AddrId id : dv.delegates(i))
+        if (id != publisher->address_id()) out.push_back(dir[id]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// Fresh enumeration: GETRATE at `depth`.
+  double expected_rate(std::size_t depth) const {
+    const DepthView& dv = view->view(depth);
+    double candidates = 0, interested = 0;
+    for (std::size_t i = 0; i < dv.size(); ++i) {
+      if (!dv.alive(i)) continue;
+      const bool match = dv.interests(i).match(event);
+      for (const AddrId id : dv.delegates(i)) {
+        if (id == publisher->address_id()) continue;
+        ++candidates;
+        if (match) ++interested;
+      }
+    }
+    return interested / candidates;
+  }
+
+  std::vector<ProcessId> targets(std::uint32_t depth,
+                                 std::uint32_t round) const {
+    std::vector<ProcessId> out;
+    for (const auto& r : recorders)
+      if (r->got(depth, round)) out.push_back(r->id());
+    return out;
+  }
+
+  /// Re-stores row `i` of `depth` at a newer version: with interests that
+  /// do not match the event, or as a tombstone.
+  void change_row(std::size_t depth, std::size_t i, bool tombstone) {
+    DepthView& dv = view->view(depth);
+    const std::vector<AddrId> delegates(dv.delegates(i).begin(),
+                                        dv.delegates(i).end());
+    auto interests =
+        tombstone ? dv.interests_ptr(i)
+                  : interns.summaries.intern(InterestSummary::from(
+                        interval_subscription(0.9, 0.05)));
+    ASSERT_TRUE(dv.upsert_pooled(dv.infix(i), delegates, interests,
+                                 dv.process_count(i), dv.version(i) + 1,
+                                 /*alive=*/!tombstone));
+  }
+
+  /// A row of `depth` whose delegates do not include the publisher.
+  std::size_t foreign_row(std::size_t depth) const {
+    const DepthView& dv = view->view(depth);
+    for (std::size_t i = 0; i < dv.size(); ++i) {
+      const auto ids = dv.delegates(i);
+      if (dv.alive(i) && std::find(ids.begin(), ids.end(),
+                                   publisher->address_id()) == ids.end())
+        return i;
+    }
+    return DepthView::npos;
+  }
+};
+
+TEST(PmcastNode, RowMatchMemoFollowsViewChanges) {
+  for (const bool tombstone : {false, true}) {
+    SCOPED_TRACE(tombstone ? "tombstone" : "interests flipped");
+    MemoRig rig;
+    rig.publisher->pmcast(rig.event);
+    rig.run_to_round(1);
+    ASSERT_EQ(rig.targets(1, 1), rig.expected_targets(1));
+
+    // Between two periods, change one depth-1 row the first round
+    // addressed, and one leaf row the entry will meet after promotion.
+    const std::size_t row = rig.foreign_row(1);
+    ASSERT_NE(row, DepthView::npos);
+    const ProcessId dropped =
+        rig.dir[rig.view->view(1).first_delegate(row)];
+    const std::size_t leaf_row = rig.foreign_row(2);
+    ASSERT_NE(leaf_row, DepthView::npos);
+    rig.change_row(1, row, tombstone);
+    rig.change_row(2, leaf_row, tombstone);
+
+    rig.run_to_round(2);
+    const auto round2 = rig.targets(1, 2);
+    EXPECT_EQ(round2, rig.expected_targets(1));
+    EXPECT_FALSE(std::binary_search(round2.begin(), round2.end(), dropped));
+    EXPECT_TRUE(rig.recorders[dropped - 1]->got(1, 1));
+
+    // Run the entry to its leaf depth: GETRATE there, carried in every
+    // leaf gossip, and the leaf targets see the changed leaf row too.
+    rig.rt.run_until_idle();
+    EXPECT_EQ(rig.targets(2, 1), rig.expected_targets(2));
+    std::size_t leaf_gossips = 0;
+    for (const auto& r : rig.recorders)
+      for (const auto& receipt : r->receipts) {
+        if (receipt.depth != 2) continue;
+        ++leaf_gossips;
+        EXPECT_DOUBLE_EQ(receipt.rate, rig.expected_rate(2));
+      }
+    EXPECT_GT(leaf_gossips, 0u);
+  }
 }
 
 TEST(PmcastNode, StatsAreConsistent) {

@@ -73,6 +73,23 @@ TEST(DepthView, Erase) {
   EXPECT_EQ(b.v.find_index(1), DepthView::npos);
 }
 
+TEST(DepthView, AssignmentAdvancesMutations) {
+  // A view's address and mutations() together name its contents, so a
+  // table assigned over a live one (GroupTree::rebuild_leaf) must not
+  // land back on a count the old contents already had.
+  BoundView live;
+  upsert_row(live.v, row(1, 1));
+  upsert_row(live.v, row(2, 1));
+  const std::uint64_t before = live.v.mutations();
+  BoundView fresh;
+  upsert_row(fresh.v, row(1, 1));
+  upsert_row(fresh.v, row(3, 1));
+  ASSERT_EQ(fresh.v.mutations(), before);
+  live.v = std::move(fresh.v);
+  EXPECT_GT(live.v.mutations(), before);
+  EXPECT_NE(live.v.find_index(3), DepthView::npos);
+}
+
 TEST(DepthView, LiveCountSkipsTombstones) {
   BoundView b;
   upsert_row(b.v, row(1, 1, 1, true));

@@ -28,9 +28,10 @@ int main() {
                                 .latency_min = sim_us(100),
                                 .latency_max = sim_us(900)},
                   2026);
-  // Deployment realism: every message crosses the wire codec.
-  runtime.network().set_transcoder([](const MessagePtr& msg) {
-    return wire::decode_message(wire::encode_message(*msg));
+  // Deployment realism: every message crosses the wire codec, and rows
+  // that come off the wire land in this deployment's intern tables.
+  runtime.network().set_transcoder([&interns](const MessagePtr& msg) {
+    return wire::decode_message(wire::encode_message(*msg), interns);
   });
 
   // Directories: sync processes at pid i, pmcast processes at pid i+100,

@@ -658,8 +658,8 @@ ChurnSim::ChurnSim(ChurnConfig config)
   owned_interns_->reserve(config_.capacity(), config_.d);
   interns_ = owned_interns_.get();
   if (config_.wire_transcode) {
-    rt_->network().set_transcoder([](const MessagePtr& msg) {
-      return wire::decode_message(wire::encode_message(*msg));
+    rt_->network().set_transcoder([interns = interns_](const MessagePtr& msg) {
+      return wire::decode_message(wire::encode_message(*msg), *interns);
     });
   }
   apply_loss_ = [this](double eps) { rt_->network().set_loss(eps); };

@@ -247,6 +247,8 @@ struct ChurnConfig {
   bool join_backoff = false;
   /// Run every message through encode_message/decode_message, as a socket
   /// deployment would (scenarios then exercise the frozen wire format).
+  /// Frames decode into the group's Interns, so rows off the wire arrive
+  /// as the same pooled handles as in-sim rows.
   bool wire_transcode = false;
 
   /// Online ε/τ estimation (analysis/env_estimator.hpp): every node runs

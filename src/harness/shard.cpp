@@ -182,18 +182,21 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
     // sized vectors. Draw labels still use the global pid.
     rt.network().reserve_range(static_cast<ProcessId>(s * 2 * capacity),
                                2 * capacity);
-    if (config_.shard.wire_transcode) {
-      rt.network().set_transcoder([](const MessagePtr& msg) {
-        return wire::decode_message(wire::encode_message(*msg));
-      });
-    }
     // Every shard enumerates the same address space in the same order, so
     // per-shard intern tables assign identical AddrIds.
     interns_.push_back(std::make_unique<Interns>());
-    interns_.back()->reserve(capacity, config_.shard.d);
+    Interns& interns = *interns_.back();
+    interns.reserve(capacity, config_.shard.d);
+    if (config_.shard.wire_transcode) {
+      // Frames decode into the shard's own tables. The transcoder runs on
+      // the shard's lane, the only one that touches them.
+      rt.network().set_transcoder([&interns](const MessagePtr& msg) {
+        return wire::decode_message(wire::encode_message(*msg), interns);
+      });
+    }
     shards_.push_back(std::make_unique<ChurnSim>(
         rt, cfg, static_cast<ProcessId>(s * 2 * capacity),
-        shard_tag(kShardStreamSalt, s), *interns_.back()));
+        shard_tag(kShardStreamSalt, s), interns));
     // No loss hook: a LossBurst's default set_loss lands on the shard's
     // own network, which is exactly the scope the hook used to enforce.
     picks.push_back(rt.make_stream(shard_tag(kRouterPickSalt, s)));

@@ -368,7 +368,7 @@ bool SyncNode::store_row(const RowBatch& rows, std::size_t k,
     return dv.upsert_pooled(rows.infix(k), rows.delegates(k),
                             rows.interests_ptr(k), rows.process_count(k),
                             version, alive);
-  // Decoded off the wire: the ids are the batch's own, so re-intern.
+  // Decoded context-free: the ids are the batch's own, so re-intern.
   translate_scratch_.clear();
   for (const AddrId id : rows.delegates(k))
     translate_scratch_.push_back(addrs().intern(rows.address(id)));

@@ -30,9 +30,10 @@
 // summaries) copied straight out of the view. A receiver checks each row's
 // (infix, version) against its own table first and drops stale rows before
 // touching any address or summary; only rows it stores are translated, and
-// only when the batch came off the wire with its own table. The wire codec
-// resolves handles to components, so protocol bytes are unchanged by the
-// representation.
+// only when the batch was decoded context-free, with its own table (a
+// harness's wire transcoder decodes into the runtime's Interns, so its rows
+// are handles already). The wire codec resolves handles to components, so
+// protocol bytes are unchanged by the representation.
 #pragma once
 
 #include <cstdint>
@@ -233,8 +234,8 @@ class SyncNode final : public Process {
   /// rebuts it if it tombstones us; returns true when the view changed.
   bool apply_row(const RowBatch& rows, std::size_t k);
   /// Stores row k of `rows` at its depth with the given version and alive
-  /// flag, translating its handles into our Interns when it came off the
-  /// wire with a table of its own.
+  /// flag, translating its handles into our Interns when it was decoded
+  /// context-free, with a table of its own.
   bool store_row(const RowBatch& rows, std::size_t k, std::uint64_t version,
                  bool alive);
   /// Rows of this view relevant for a process with address `other`

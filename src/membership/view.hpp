@@ -16,8 +16,9 @@
 //
 // Rows cross messages as a RowBatch: the same handles (delegate ids,
 // pooled summary pointers) copied out of the arrays, never materialized.
-// Only the wire codec turns handles back into components, and a receiver
-// compares (infix, version) before it touches any address or summary.
+// Only the wire codec turns handles into components and back (decoding
+// into the receiving runtime's tables), and a receiver compares (infix,
+// version) before it touches any address or summary.
 #pragma once
 
 #include <algorithm>
@@ -165,12 +166,15 @@ class DepthView {
 /// one CSR pool, interests are pooled summary handles — so building a batch
 /// from a DepthView copies integers and bumps reference counts.
 ///
-/// The ids belong to one of two tables. A batch built in the simulation
-/// refers to the sender's Interns, which every node on the runtime shares,
-/// so a receiver there uses the handles as they are. A batch decoded off
-/// the wire is bound to no Interns: its ids index a flat component list
-/// the batch owns, and a receiver translates the rows it keeps into its
-/// own Interns. address() resolves an id either way.
+/// The ids belong to one of two tables. A batch bound to an Interns
+/// refers to that table: a batch built in the simulation is bound to the
+/// sender's, which every node on the runtime shares, and a runtime's wire
+/// transcoder decodes rows into its own (wire::decode_message(bytes,
+/// interns)); a receiver on that runtime uses the handles as they are. A
+/// batch decoded context-free (wire::decode_message(bytes)) is bound to no
+/// Interns: its ids index a flat component list the batch owns, and a
+/// receiver translates the rows it keeps into its own Interns. address()
+/// resolves an id either way.
 ///
 /// The destructor never dereferences the Interns: a queued message may
 /// outlive the Interns it was built against (a harness may tear its

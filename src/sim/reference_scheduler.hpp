@@ -7,8 +7,7 @@
 // scheduler.hpp (same contract, batched same-time cohorts); this one is kept
 // as the behavioral oracle: the randomized property test
 // (tests/scheduler_property_test.cpp) runs both side by side and asserts
-// they execute identical (time, seq) sequences, and builds may select it
-// wholesale with -DPMC_REFERENCE_SCHEDULER for bisection.
+// they execute identical (time, seq) sequences.
 //
 // The queue is an *indexed* binary heap: every pending event owns a slot in
 // a side table that tracks its current heap position, so cancel() removes

@@ -13,19 +13,10 @@ constexpr std::uint64_t kProcessStreamSalt = 0x9c0ce55e5;
 
 Runtime::Runtime(NetworkConfig net_config, std::uint64_t seed,
                  SchedulerTuning tuning)
-    :
-#ifdef PMC_REFERENCE_SCHEDULER
-      sched_(),
-#else
-      sched_(tuning.bucket_width_log2, tuning.bucket_count_log2),
-#endif
+    : sched_(tuning.bucket_width_log2, tuning.bucket_count_log2),
       base_seed_(seed),
       seeder_(seed),
-      net_(sched_, net_config, Rng(seeder_.next_u64())) {
-#ifdef PMC_REFERENCE_SCHEDULER
-  (void)tuning;
-#endif
-}
+      net_(sched_, net_config, Rng(seeder_.next_u64())) {}
 
 Rng Runtime::make_process_stream(ProcessId pid) {
   const std::uint64_t incarnation = incarnations_[pid]++;

@@ -20,8 +20,7 @@ class Process;
 /// Calendar-queue sizing knobs, forwarded to the scheduler. The defaults
 /// match CalendarScheduler's (a 262 ms wheel window); hosts that run many
 /// small co-resident schedulers (one per topic shard) pass a compact wheel
-/// instead so per-shard fixed cost stays in the kilobytes. Ignored under
-/// PMC_REFERENCE_SCHEDULER, which has no wheel.
+/// instead so per-shard fixed cost stays in the kilobytes.
 struct SchedulerTuning {
   std::uint32_t bucket_width_log2 = 6;
   std::uint32_t bucket_count_log2 = 12;

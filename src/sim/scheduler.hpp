@@ -32,10 +32,6 @@
 // removal) and O(1) for wheel entries (swap-remove from a bucket that is
 // re-sorted lazily if it was already active). pending() counts live events
 // exactly; no tombstones outlive their bucket.
-//
-// Builds may fall back to the reference implementation wholesale with
-// -DPMC_REFERENCE_SCHEDULER (a bisection seam: every simulator run must be
-// byte-identical under either scheduler).
 #pragma once
 
 #include <cstdint>
@@ -205,10 +201,6 @@ class CalendarScheduler {
   std::uint64_t executed_ = 0;
 };
 
-#ifdef PMC_REFERENCE_SCHEDULER
-using Scheduler = ReferenceScheduler;
-#else
 using Scheduler = CalendarScheduler;
-#endif
 
 }  // namespace pmc

@@ -320,12 +320,14 @@ void encode(Writer& w, const RowBatch& rows) {
   }
 }
 
-RowBatch decode_row_batch(Reader& r) {
-  // Decoding is context-free, so the batch keeps its addresses itself; the
-  // receiver translates the rows it stores into its own Interns
-  // (SyncNode::store_row). Summaries are not pooled either — a frame
-  // rarely repeats one.
-  RowBatch rows;
+namespace {
+
+/// The one row-decoding loop. With `into` the rows land in that table
+/// (delegates interned, summaries pooled) and the batch is bound to it;
+/// without, the batch keeps its addresses itself and each summary is a
+/// private copy. Bytes read and every check are the same either way.
+RowBatch decode_rows(Reader& r, Interns* into) {
+  RowBatch rows = into != nullptr ? RowBatch(*into) : RowBatch();
   const auto n = checked_count(r);
   std::vector<AddrId> ids;
   std::vector<AddrComponent> comps;
@@ -337,9 +339,15 @@ RowBatch decode_row_batch(Reader& r) {
     ids.clear();
     for (std::uint64_t j = 0; j < delegates; ++j) {
       decode_components(r, comps);
-      ids.push_back(rows.add_address(comps));
+      const std::span<const AddrComponent> address(comps);
+      ids.push_back(into != nullptr ? into->addrs.intern(address)
+                                    : rows.add_address(address));
     }
-    auto interests = std::make_shared<const InterestSummary>(decode_summary(r));
+    InterestSummary summary = decode_summary(r);
+    auto interests =
+        into != nullptr
+            ? into->summaries.intern(std::move(summary))
+            : std::make_shared<const InterestSummary>(std::move(summary));
     const std::uint64_t process_count = r.varint();
     const std::uint64_t version = r.varint();
     const bool alive = r.boolean();
@@ -347,6 +355,14 @@ RowBatch decode_row_batch(Reader& r) {
               std::move(interests), process_count, version, alive);
   }
   return rows;
+}
+
+}  // namespace
+
+RowBatch decode_row_batch(Reader& r) { return decode_rows(r, nullptr); }
+
+RowBatch decode_row_batch(Reader& r, Interns& into) {
+  return decode_rows(r, &into);
 }
 
 // -- Envelope --------------------------------------------------------------------
@@ -487,7 +503,11 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
   return std::move(w).take();
 }
 
-MessagePtr decode_message(std::span<const std::uint8_t> data) {
+namespace {
+
+/// The one envelope decoder; `into` as for decode_rows.
+MessagePtr decode_envelope(std::span<const std::uint8_t> data,
+                           Interns* into) {
   Reader r(data);
   const auto tag = static_cast<MessageTag>(r.u8());
   MessagePtr out;
@@ -508,7 +528,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
         msg->sender = decode_address(r);
-        msg->piggyback = decode_row_batch(r);
+        msg->piggyback = decode_rows(r, into);
       }
       out = std::move(msg);
       break;
@@ -534,7 +554,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
       msg->sender = decode_address(r);
-      msg->rows = decode_row_batch(r);
+      msg->rows = decode_rows(r, into);
       out = std::move(msg);
       break;
     }
@@ -550,7 +570,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
       msg->sender = decode_address(r);
-      msg->rows = decode_row_batch(r);
+      msg->rows = decode_rows(r, into);
       out = std::move(msg);
       break;
     }
@@ -624,6 +644,16 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
   }
   r.expect_end();
   return out;
+}
+
+}  // namespace
+
+MessagePtr decode_message(std::span<const std::uint8_t> data) {
+  return decode_envelope(data, nullptr);
+}
+
+MessagePtr decode_message(std::span<const std::uint8_t> data, Interns& into) {
+  return decode_envelope(data, &into);
 }
 
 }  // namespace pmc::wire

@@ -48,10 +48,18 @@ Address decode_address(Reader& r);
 
 /// A depth-tagged row list: per row its depth, infix, delegate addresses
 /// (ids resolved through the batch's table), interest summary, process
-/// count, version and alive flag. The decoded batch keeps its addresses
-/// itself.
+/// count, version and alive flag.
 void encode(Writer& w, const RowBatch& rows);
+/// Context-free: the decoded batch keeps its addresses itself and each
+/// row's summary is a private copy; a receiver re-interns what it keeps.
 RowBatch decode_row_batch(Reader& r);
+/// Into a runtime's tables: the batch is bound to `into`, each delegate is
+/// `into.addrs.intern(...)` and each summary the pool's instance (a
+/// duplicate is freed at once), so the rows arrive in the same handle form
+/// as a batch built in the simulation. Reads the same bytes and throws the
+/// same DecodeErrors as the context-free form. Only the thread that owns
+/// `into` may call it.
+RowBatch decode_row_batch(Reader& r, Interns& into);
 
 // -- Protocol envelope ------------------------------------------------------
 
@@ -76,6 +84,12 @@ enum class MessageTag : std::uint8_t {
 std::vector<std::uint8_t> encode_message(const MessageBase& msg);
 
 /// Parses a message envelope; throws DecodeError on malformed input.
+/// Membership rows (updates, view transfers, piggybacks) decode
+/// context-free, as decode_row_batch(Reader&).
 MessagePtr decode_message(std::span<const std::uint8_t> data);
+/// Same, with membership rows decoded into `into` (see
+/// decode_row_batch(Reader&, Interns&)): what a runtime's transcoder
+/// passes, so the frames it delivers share its pooled rows.
+MessagePtr decode_message(std::span<const std::uint8_t> data, Interns& into);
 
 }  // namespace pmc::wire

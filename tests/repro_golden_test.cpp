@@ -192,5 +192,33 @@ TEST(ReproGolden, Shards8PartitionedShardAnyThreadCount) {
   }
 }
 
+TEST(ReproGolden, Shards8WireTranscodeAnyThreadCount) {
+  // Each shard's transcoder decodes frames into that shard's own Interns,
+  // from whichever lane runs the shard. An 8-shard demo with wire on must
+  // equal the same run with wire off, aggregate and per shard, at every
+  // lane count; the fingerprint was captured on the engine that decoded
+  // rows context-free.
+  const auto run = [](std::size_t threads, bool wire) {
+    ShardedConfig config = sharded_config(8);
+    config.threads = threads;
+    config.shard.wire_transcode = wire;
+    ShardedSim sim(config);
+    sim.play_all(ScenarioScript::demo());
+    sim.run_until(sim_ms(3500));
+    return sim.summary();
+  };
+  const ShardedSummary off = run(1, false);
+  EXPECT_EQ(off.fingerprint, 0x93afcde9726056e2ULL) << off.to_string();
+  EXPECT_EQ(off.aggregate.fingerprint, 0xc86a0740cd694ec1ULL);
+  ASSERT_EQ(off.shards.size(), 8u);
+  EXPECT_EQ(off.shards[0].fingerprint, 0x594cdc43e6f4f0cbULL);
+  EXPECT_GT(off.aggregate.counters.delivered, 0u);
+  for (const auto threads : kThreadCounts) {
+    const ShardedSummary on = run(threads, true);
+    // Compares the aggregate and every per-shard summary.
+    EXPECT_EQ(on, off) << "threads=" << threads << "\n" << on.to_string();
+  }
+}
+
 }  // namespace
 }  // namespace pmc

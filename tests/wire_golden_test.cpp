@@ -3,8 +3,9 @@
 // fails after a code change, the change broke compatibility with deployed
 // peers and must either be reverted or ship as a new, explicitly versioned
 // format. Also: an encode→decode→re-encode property over randomized
-// messages (byte-stability), and the guarantee that the sim-only Treecast
-// tag is rejected at encode time.
+// messages (byte-stability, for the context-free decode and the decode into
+// a runtime's tables), and the guarantee that the sim-only Treecast tag is
+// rejected at encode time.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -229,6 +230,30 @@ TEST(WireGolden, FrozenBytesStillDecode) {
   }
 }
 
+TEST(WireGolden, FrozenBytesDecodeIntoATable) {
+  // Decoding into a runtime's tables reads the same bytes: every frozen
+  // vector re-encodes byte-identically from the rows' pooled handles, and
+  // a second decode adds nothing to the table.
+  Interns into;
+  for (const auto& [name, hex] : kGoldenVectors) {
+    const auto bytes = from_hex(hex);
+    MessagePtr decoded;
+    ASSERT_NO_THROW(decoded = wire::decode_message(bytes, into)) << name;
+    ASSERT_NE(decoded, nullptr) << name;
+    EXPECT_EQ(to_hex(wire::encode_message(*decoded)), hex) << name;
+  }
+  EXPECT_GT(into.addrs.size(), 0u);
+  EXPECT_GT(into.summaries.size(), 0u);
+  const std::size_t addrs = into.addrs.size();
+  const std::size_t summaries = into.summaries.size();
+  for (const auto& [name, hex] : kGoldenVectors) {
+    const auto decoded = wire::decode_message(from_hex(hex), into);
+    EXPECT_EQ(to_hex(wire::encode_message(*decoded)), hex) << name;
+  }
+  EXPECT_EQ(into.addrs.size(), addrs);
+  EXPECT_EQ(into.summaries.size(), summaries);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized round-trip property
 // ---------------------------------------------------------------------------
@@ -397,6 +422,11 @@ TEST(WireGolden, RandomizedRoundTripIsByteStable) {
     const auto m3 = wire::decode_message(b2);
     const auto b3 = wire::encode_message(*m3);
     EXPECT_EQ(to_hex(b3), to_hex(b2)) << "trial " << trial;
+    // The into-table decode re-encodes to the same bytes.
+    Interns into;
+    const auto m4 = wire::decode_message(b2, into);
+    EXPECT_EQ(to_hex(wire::encode_message(*m4)), to_hex(b2))
+        << "trial " << trial;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "harness/workload.hpp"
 #include "view_rows.hpp"
@@ -241,6 +243,20 @@ TEST(WireRowBatch, OneRowRoundTrip) {
   EXPECT_EQ(out.version, row.version);
   EXPECT_EQ(out.alive, row.alive);
   EXPECT_EQ(out.interests.numeric_unions(), row.interests.numeric_unions());
+
+  // Into a table: bound to it, ids and summary are the table's.
+  Writer w;
+  wire::encode(w, batch);
+  Interns into;
+  Reader r(w.data());
+  const RowBatch pooled = wire::decode_row_batch(r, into);
+  r.expect_end();
+  EXPECT_EQ(pooled.interns(), &into);
+  ASSERT_EQ(pooled.size(), 1u);
+  ASSERT_EQ(pooled.delegates(0).size(), 2u);
+  EXPECT_EQ(pooled.delegates(0)[1], into.addrs.find(row.delegates[1]));
+  EXPECT_EQ(pooled.interests_ptr(0), into.summaries.intern(row.interests));
+  EXPECT_EQ(batch_row(pooled, 0).delegates, row.delegates);
 }
 
 TEST(WireMessage, GossipEnvelope) {
@@ -375,6 +391,114 @@ TEST(WireMessage, FuzzTruncationsOfValidMessage) {
       (void)wire::decode_message(std::span(bytes.data(), cut));
       // Some prefixes may decode to a shorter valid message only if the
       // format were self-delimiting per field — with expect_end they can't.
+      FAIL() << "truncation at " << cut << " decoded successfully";
+    } catch (const DecodeError&) {
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoding into a runtime's tables
+// ---------------------------------------------------------------------------
+
+/// A three-row update over `interns`: two rows share one summary, one row
+/// has two delegates, one is a tombstone.
+MembershipUpdateMsg three_row_update(Interns& interns) {
+  MembershipUpdateMsg msg;
+  msg.sender = Address::parse("1.2.3");
+  msg.rows = RowBatch(interns);
+  ViewRow a;
+  a.infix = 2;
+  a.delegates = {Address::parse("1.2.3"), Address::parse("1.2.7")};
+  a.interests = InterestSummary::from(Subscription::parse("b > 0"));
+  a.process_count = 3;
+  a.version = 8;
+  ViewRow b = a;
+  b.infix = 5;
+  b.delegates = {Address::parse("1.5.1")};
+  b.version = 4;
+  b.alive = false;
+  ViewRow c;
+  c.infix = 7;
+  c.delegates = {Address::parse("1.2.7")};
+  c.interests = InterestSummary::from(Subscription::parse("u < 0.5"));
+  c.process_count = 1;
+  c.version = 11;
+  push_row(msg.rows, 1, a, interns);
+  push_row(msg.rows, 2, b, interns);
+  push_row(msg.rows, 3, c, interns);
+  return msg;
+}
+
+TEST(WireIntoTable, RowsBecomeTheTablesHandles) {
+  Interns sender;
+  const MembershipUpdateMsg msg = three_row_update(sender);
+  const auto bytes = wire::encode_message(msg);
+  Interns into;
+  into.addrs.intern(Address::parse("9.9.9"));  // ids need not match sender's
+  const auto decoded = wire::decode_message(bytes, into);
+  const auto& rows = static_cast<const MembershipUpdateMsg&>(*decoded).rows;
+  EXPECT_EQ(rows.interns(), &into);
+  ASSERT_EQ(rows.size(), msg.rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const ViewRow want = batch_row(msg.rows, k);
+    ASSERT_EQ(rows.delegates(k).size(), want.delegates.size()) << k;
+    for (std::size_t j = 0; j < want.delegates.size(); ++j)
+      EXPECT_EQ(rows.delegates(k)[j], into.addrs.find(want.delegates[j]))
+          << "row " << k << " delegate " << j;
+    EXPECT_EQ(rows.interests_ptr(k), into.summaries.intern(want.interests))
+        << "row " << k;
+    const ViewRow got = batch_row(rows, k);
+    EXPECT_EQ(got.infix, want.infix);
+    EXPECT_EQ(got.delegates, want.delegates);
+    EXPECT_EQ(got.process_count, want.process_count);
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(got.alive, want.alive);
+  }
+  // Rows 0 and 1 carry equal summaries: one pooled object.
+  EXPECT_EQ(rows.interests_ptr(0), rows.interests_ptr(1));
+  EXPECT_EQ(wire::encode_message(*decoded), bytes);
+
+  // Decoded into the sender's own table, the rows are the sender's
+  // handles exactly.
+  const auto same = wire::decode_message(bytes, sender);
+  const auto& own = static_cast<const MembershipUpdateMsg&>(*same).rows;
+  for (std::size_t k = 0; k < own.size(); ++k) {
+    EXPECT_TRUE(std::ranges::equal(own.delegates(k), msg.rows.delegates(k)));
+    EXPECT_EQ(own.interests_ptr(k), msg.rows.interests_ptr(k));
+  }
+}
+
+TEST(WireIntoTable, RepeatedDecodesDoNotGrowTheTable) {
+  Interns sender;
+  const auto bytes = wire::encode_message(three_row_update(sender));
+  Interns into;
+  (void)wire::decode_message(bytes, into);
+  const std::size_t addrs = into.addrs.size();
+  const std::size_t summaries = into.summaries.size();
+  EXPECT_EQ(addrs, 3u);
+  EXPECT_EQ(summaries, 2u);
+  std::vector<MessagePtr> in_flight;
+  for (int i = 0; i < 1000; ++i) {
+    in_flight.push_back(wire::decode_message(bytes, into));
+    ASSERT_EQ(into.addrs.size(), addrs) << "decode " << i;
+    ASSERT_EQ(into.summaries.size(), summaries) << "decode " << i;
+  }
+  // Every in-flight frame shares the pooled summary.
+  const auto& first =
+      static_cast<const MembershipUpdateMsg&>(*in_flight.front()).rows;
+  const auto& last =
+      static_cast<const MembershipUpdateMsg&>(*in_flight.back()).rows;
+  EXPECT_EQ(first.interests_ptr(2), last.interests_ptr(2));
+}
+
+TEST(WireIntoTable, FuzzTruncationsStillThrow) {
+  Interns sender;
+  const auto bytes = wire::encode_message(three_row_update(sender));
+  Interns into;
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    try {
+      (void)wire::decode_message(std::span(bytes.data(), cut), into);
       FAIL() << "truncation at " << cut << " decoded successfully";
     } catch (const DecodeError&) {
     }

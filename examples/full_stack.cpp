@@ -85,8 +85,10 @@ int main() {
         [&delivered](const Event&) { ++delivered; });
     SyncNode* sync = sync_nodes[i].get();
     pm_nodes.back()->set_piggyback(
-        [sync](AddrId target) { return sync->rows_to_share(target); },
-        [sync](const Address& sender, const RowBatch& rows) {
+        [sync](AddrId target) {
+          return std::make_shared<const RowBatch>(sync->rows_to_share(target));
+        },
+        [sync](const SenderRef& sender, const RowBatch& rows) {
           sync->absorb_rows(sender, rows);
         });
   }

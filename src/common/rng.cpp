@@ -1,7 +1,9 @@
 #include "common/rng.hpp"
 
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace pmc {
 
@@ -83,15 +85,45 @@ double Rng::next_normal() noexcept {
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   PMC_EXPECTS(k <= n);
+  // Partial Fisher-Yates over the identity array [0, n): step i swaps
+  // positions i and j = i + next_below(n - i) and emits what j held.
+  std::vector<std::size_t> out(k);
+  if (k <= kSparseSampleLimit) {
+    // Small k (every gossip fan-out): keep only the displaced positions,
+    // as (position, value) pairs, instead of materializing the n-element
+    // array. Step i never reads a position below i again, so a pair is
+    // only ever looked up or overwritten, never removed.
+    using Moved = std::pair<std::size_t, std::size_t>;
+    std::array<Moved, kSparseSampleLimit> moved;
+    std::size_t moved_n = 0;
+    const auto slot = [&](std::size_t pos) -> Moved* {
+      for (std::size_t t = 0; t < moved_n; ++t)
+        if (moved[t].first == pos) return &moved[t];
+      return nullptr;
+    };
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto j = i + static_cast<std::size_t>(next_below(n - i));
+      auto* at_j = slot(j);
+      out[i] = at_j != nullptr ? at_j->second : j;
+      if (j == i) continue;
+      const auto* at_i = slot(i);
+      const std::size_t held_i = at_i != nullptr ? at_i->second : i;
+      if (at_j != nullptr)
+        at_j->second = held_i;
+      else
+        moved[moved_n++] = {j, held_i};
+    }
+    return out;
+  }
   std::vector<std::size_t> idx(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   for (std::size_t i = 0; i < k; ++i) {
     const auto j = i + static_cast<std::size_t>(next_below(n - i));
     using std::swap;
     swap(idx[i], idx[j]);
+    out[i] = idx[i];
   }
-  idx.resize(k);
-  return idx;
+  return out;
 }
 
 }  // namespace pmc

@@ -86,8 +86,12 @@ class Rng {
   Rng split() noexcept { return Rng(next_u64()); }
 
   /// k distinct indices drawn uniformly from [0, n) without replacement,
-  /// in selection order (partial Fisher-Yates on an index vector).
+  /// in selection order (partial Fisher-Yates: k next_below draws, the
+  /// i-th bounded by n - i). For k <= kSparseSampleLimit the work and
+  /// memory are O(k), independent of n; larger k walks an n-element index
+  /// vector. Both give the same draws and the same result.
   /// Precondition: k <= n.
+  static constexpr std::size_t kSparseSampleLimit = 16;
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 

@@ -164,7 +164,7 @@ void SyncNode::on_period() {
   const auto& peers = known_peers();
   if (peers.empty()) return;
   auto digest = std::make_shared<MembershipDigestMsg>();
-  digest->sender = view_.self();
+  digest->sender = as_sender();
   digest->sender_pid = id();
   digest->digests = make_digest();
   // The same digest goes to every target: resolve the whole fan-out first
@@ -206,7 +206,7 @@ void SyncNode::on_period() {
 }
 
 void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
-  note_contact(m.sender);
+  const AddrId sender = note_contact(m.sender);
   // Reply with every line where our version is strictly newer, plus lines
   // the gossiper does not know at all — restricted to depths the two of us
   // share (tables above the common prefix are about different subgroups).
@@ -215,7 +215,7 @@ void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
   // order (only a foreign encoder could send one) merely draws extra rows,
   // which the gossiper drops as stale.
   const std::size_t shared =
-      view_.self().common_prefix_length(m.sender) + 1;
+      addrs().common_prefix_length(view_.self_id(), sender) + 1;
   RowBatch newer(view_.interns());
   const auto& digests = m.digests;
   std::size_t cursor = 0;
@@ -240,7 +240,7 @@ void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
   // ack — so the gossiper can meter the round-trip loss (sent vs. acked).
   if (newer.empty() && !config_.ack_digests) return;
   auto reply = std::make_shared<MembershipUpdateMsg>();
-  reply->sender = view_.self();
+  reply->sender = as_sender();
   reply->rows = std::move(newer);
   send(from, std::move(reply));
   ++stats_.updates_sent;
@@ -254,9 +254,9 @@ void SyncNode::handle_update(const MembershipUpdateMsg& m) {
   absorb_rows(m.sender, m.rows);
 }
 
-void SyncNode::absorb_rows(const Address& sender, const RowBatch& rows) {
+void SyncNode::absorb_rows(const SenderRef& sender, const RowBatch& rows) {
   const std::size_t shared =
-      view_.self().common_prefix_length(sender) + 1;
+      sender.common_prefix_length(view_.interns(), view_.self_id()) + 1;
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const std::uint32_t depth = rows.depth(k);
     if (depth < 1 || depth > config_.tree.depth) continue;
@@ -298,7 +298,7 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
           1, version, true);
 
   auto transfer = std::make_shared<ViewTransferMsg>();
-  transfer->sender = view_.self();
+  transfer->sender = as_sender();
   transfer->rows = rows_for(joiner);
   send(m.joiner_pid, std::move(transfer));
   ++stats_.joins_served;
@@ -380,9 +380,15 @@ bool SyncNode::store_row(const RowBatch& rows, std::size_t k,
 RowBatch SyncNode::rows_for(AddrId other) const {
   const std::size_t shared =
       addrs().common_prefix_length(view_.self_id(), other);
+  const std::size_t last = std::min(shared + 1, config_.tree.depth);
+  std::size_t rows = 0, delegates = 0;
+  for (std::size_t depth = 1; depth <= last; ++depth) {
+    rows += view_.view(depth).size();
+    delegates += view_.view(depth).delegate_total();
+  }
   RowBatch out(view_.interns());
-  for (std::size_t depth = 1;
-       depth <= std::min(shared + 1, config_.tree.depth); ++depth) {
+  out.reserve(rows, delegates);
+  for (std::size_t depth = 1; depth <= last; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
       out.push(static_cast<std::uint32_t>(depth), dv, i);
@@ -391,7 +397,11 @@ RowBatch SyncNode::rows_for(AddrId other) const {
 }
 
 std::vector<RowDigest> SyncNode::make_digest() const {
+  std::size_t rows = 0;
+  for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth)
+    rows += view_.view(depth).size();
   std::vector<RowDigest> out;
+  out.reserve(rows);
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
@@ -514,7 +524,7 @@ void SyncNode::check_neighbor_timeouts() {
       continue;
     }
     auto query = std::make_shared<SuspectQueryMsg>();
-    query->sender = view_.self();
+    query->sender = as_sender();
     query->suspect = addrs().resolve(suspect);
     send_to(confirmer, std::move(query));
     pending_suspicions_.insert_or_assign(suspect, now);
@@ -530,7 +540,7 @@ void SyncNode::handle_suspect_query(ProcessId from,
       it != last_contact_.end() &&
       runtime().now() - it->second <= config_.suspicion_timeout;
   auto reply = std::make_shared<SuspectReplyMsg>();
-  reply->sender = view_.self();
+  reply->sender = as_sender();
   reply->suspect = m.suspect;
   reply->heard_recently = heard;
   send(from, std::move(reply));
@@ -563,8 +573,10 @@ void SyncNode::tombstone_row(DepthView& leaf, std::size_t i) {
   ++stats_.deaths_observed;
 }
 
-void SyncNode::note_contact(const Address& a) {
-  last_contact_.insert_or_assign(addrs().intern(a), runtime().now());
+AddrId SyncNode::note_contact(const SenderRef& sender) {
+  const AddrId id = sender.id_in(view_.interns());
+  last_contact_.insert_or_assign(id, runtime().now());
+  return id;
 }
 
 const std::vector<AddrId>& SyncNode::known_peers() const {

@@ -32,8 +32,16 @@
 // touching any address or summary; only rows it stores are translated, and
 // only when the batch was decoded context-free, with its own table (a
 // harness's wire transcoder decodes into the runtime's Interns, so its rows
-// are handles already). The wire codec resolves handles to components, so
-// protocol bytes are unchanged by the representation.
+// are handles already).
+//
+// Senders travel by handle too: every message that names its sender
+// (digest, update, view transfer, suspect query/reply, and the piggybacked
+// gossip) carries a SenderRef, an AddrId plus the Interns it belongs to,
+// instead of an Address copy. A receiver on the same runtime takes the id
+// as it is for its contact table and prefix math; a sender decoded
+// context-free is interned (contacts) or compared by component (prefix).
+// The wire codec resolves handles to components, so protocol bytes are
+// unchanged by the representation.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +69,7 @@ struct RowDigest {
 struct MembershipDigestMsg final : MessageBase {
   MembershipDigestMsg() noexcept : MessageBase(MsgKind::MembershipDigest) {}
 
-  Address sender;
+  SenderRef sender;
   ProcessId sender_pid = kNoProcess;
   std::vector<RowDigest> digests;
 };
@@ -69,7 +77,7 @@ struct MembershipDigestMsg final : MessageBase {
 struct MembershipUpdateMsg final : MessageBase {
   MembershipUpdateMsg() noexcept : MessageBase(MsgKind::MembershipUpdate) {}
 
-  Address sender;
+  SenderRef sender;
   RowBatch rows;
 };
 
@@ -85,7 +93,7 @@ struct JoinRequestMsg final : MessageBase {
 struct ViewTransferMsg final : MessageBase {
   ViewTransferMsg() noexcept : MessageBase(MsgKind::ViewTransfer) {}
 
-  Address sender;
+  SenderRef sender;
   RowBatch rows;  ///< rows valid for the joiner
 };
 
@@ -101,14 +109,14 @@ struct LeaveMsg final : MessageBase {
 struct SuspectQueryMsg final : MessageBase {
   SuspectQueryMsg() noexcept : MessageBase(MsgKind::SuspectQuery) {}
 
-  Address sender;
+  SenderRef sender;
   Address suspect;
 };
 
 struct SuspectReplyMsg final : MessageBase {
   SuspectReplyMsg() noexcept : MessageBase(MsgKind::SuspectReply) {}
 
-  Address sender;
+  SenderRef sender;
   Address suspect;
   bool heard_recently = false;
 };
@@ -210,7 +218,7 @@ class SyncNode final : public Process {
   /// piggybacked when gossiping events"): the rows worth attaching to a
   /// message for `other`, and ingestion of rows that arrived piggybacked.
   RowBatch rows_to_share(AddrId other) const { return rows_for(other); }
-  void absorb_rows(const Address& sender, const RowBatch& rows);
+  void absorb_rows(const SenderRef& sender, const RowBatch& rows);
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -245,7 +253,12 @@ class SyncNode final : public Process {
   /// Recompacts own-subgroup rows at every depth where self is a delegate.
   void recompact_own_rows();
   void check_neighbor_timeouts();
-  void note_contact(const Address& a);
+  /// Records direct contact with `sender`; returns its id in our table.
+  AddrId note_contact(const SenderRef& sender);
+  /// This process as the sender of a message it builds.
+  SenderRef as_sender() const noexcept {
+    return SenderRef(view_.interns(), view_.self_id());
+  }
   /// All (address, pid-resolvable) gossip candidates, excluding self —
   /// depth-ascending, row order, first sighting wins. Returns a scratch
   /// buffer reused across periods (invalidated by the next call).

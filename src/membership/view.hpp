@@ -54,6 +54,64 @@ struct Interns {
   }
 };
 
+/// The sender named by a membership-carrying message (digest, update,
+/// view transfer, suspect query/reply, piggybacked gossip). Built in the
+/// simulation, or decoded into a runtime's tables, it is a handle: an
+/// AddrId of the Interns it belongs to, so no Address is copied per
+/// message and a receiver on that runtime uses the id as it is. A
+/// context-free decode (wire::decode_message(bytes)) has no table to name
+/// it in and keeps the plain Address. components() reads the address
+/// either way, and the wire codec encodes exactly those, so the bytes do
+/// not depend on the form. Like RowBatch, the destructor never touches the
+/// Interns.
+class SenderRef {
+ public:
+  SenderRef() = default;
+  SenderRef(const Interns& interns, AddrId id) noexcept
+      : interns_(&interns), id_(id) {}
+  /// The context-free form.
+  SenderRef(Address address) noexcept  // NOLINT(google-explicit-constructor)
+      : address_(std::move(address)) {}
+
+  /// The table id() belongs to; null for the context-free form.
+  const Interns* interns() const noexcept { return interns_; }
+  /// The handle in interns(); kNoAddr for the context-free form.
+  AddrId id() const noexcept { return id_; }
+
+  std::span<const AddrComponent> components() const {
+    if (interns_ != nullptr) return interns_->addrs.components(id_);
+    return address_.components();
+  }
+
+  /// The sender's id in `table`: the handle itself when it is one of
+  /// `table`, else the components interned there.
+  AddrId id_in(Interns& table) const {
+    return interns_ == &table ? id_ : table.addrs.intern(components());
+  }
+
+  /// Length of the common prefix with `self`, an id of `table` — integer
+  /// compares when the sender is a handle of `table`, a component walk
+  /// (interning nothing) otherwise.
+  std::size_t common_prefix_length(const Interns& table, AddrId self) const {
+    if (interns_ == &table)
+      return table.addrs.common_prefix_length(self, id_);
+    const auto mine = table.addrs.components(self);
+    const auto theirs = components();
+    return static_cast<std::size_t>(
+        std::ranges::mismatch(mine, theirs).in1 - mine.begin());
+  }
+
+  /// Same address, whatever the form.
+  friend bool operator==(const SenderRef& a, const SenderRef& b) {
+    return std::ranges::equal(a.components(), b.components());
+  }
+
+ private:
+  const Interns* interns_ = nullptr;
+  AddrId id_ = kNoAddr;
+  Address address_;  ///< used iff interns_ is null
+};
+
 /// One depth's table: rows sorted by infix, unique per infix, stored as
 /// parallel arrays (see file comment). Must be bound to an Interns before
 /// any row is inserted.
@@ -113,6 +171,10 @@ class DepthView {
   /// recompaction skips depths whose inputs did not change since the last
   /// pass, and PmcastNode reuses an event's row matches.
   std::uint64_t mutations() const noexcept { return mutations_.n; }
+
+  /// Number of delegate ids over all rows (what a RowBatch copying the
+  /// whole table holds).
+  std::size_t delegate_total() const noexcept { return live_delegates_; }
 
   /// Number of live rows.
   std::size_t live_count() const noexcept;
@@ -176,6 +238,10 @@ class DepthView {
 /// receiver translates the rows it keeps into its own Interns. address()
 /// resolves an id either way.
 ///
+/// Piggybacked rows travel as a std::shared_ptr<const RowBatch>: one
+/// immutable snapshot per gossip period and prefix level, shared by every
+/// gossip that carries it (see GossipMsg).
+///
 /// The destructor never dereferences the Interns: a queued message may
 /// outlive the Interns it was built against (a harness may tear its
 /// Interns down before its Runtime).
@@ -209,6 +275,13 @@ class RowBatch {
 
   std::size_t size() const noexcept { return rows_.size(); }
   bool empty() const noexcept { return rows_.empty(); }
+
+  /// Pre-sizes for `rows` rows holding `delegates` delegate ids in all, so
+  /// a batch of known size is built without regrowing.
+  void reserve(std::size_t rows, std::size_t delegates) {
+    rows_.reserve(rows);
+    delegates_.reserve(delegates);
+  }
 
   /// Appends row i of `view`, which must be bound to this batch's table.
   void push(std::uint32_t depth, const DepthView& view, std::size_t i) {

@@ -75,8 +75,9 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
   PMC_EXPECTS(gossip.event != nullptr);
   PMC_EXPECTS(gossip.depth >= 1 && gossip.depth <= config_.tree.depth);
 
-  if (piggyback_sink_ && !gossip.piggyback.empty())
-    piggyback_sink_(gossip.sender, gossip.piggyback);
+  if (piggyback_sink_ && gossip.piggyback != nullptr &&
+      !gossip.piggyback->empty())
+    piggyback_sink_(gossip.sender, *gossip.piggyback);
 
   // Fig. 3 lines 20-23 (with whole-lifetime dedup, see header).
   EventDedup::Slot* const fresh = dedup_.insert(gossip.event->id());
@@ -100,13 +101,14 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
 }
 
 void PmcastNode::on_period() {
+  Snapshots snapshots;  // this period's piggyback rows, per prefix level
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth)
-    gossip_entries_at(depth);
+    gossip_entries_at(depth, snapshots);
   run_recovery_round();
   if (buffers_empty() && store_.empty()) disarm_periodic();
 }
 
-void PmcastNode::gossip_entries_at(std::size_t depth) {
+void PmcastNode::gossip_entries_at(std::size_t depth, Snapshots& snapshots) {
   auto& entries = gossips_[depth - 1];
   if (entries.empty()) return;
 
@@ -135,15 +137,11 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
         target_scratch_.push_back(target);
       }
       if (!target_scratch_.empty()) {
-        auto msg = std::make_shared<GossipMsg>();
-        msg->event = entry.event;
-        msg->rate = entry.rate;
-        msg->round = entry.round;
+        auto msg = make_gossip(entry, depth, nullptr);
         // The flood already addressed everyone interested: tell receivers
         // explicitly not to re-gossip (the flag, not a sentinel round, so
         // round arithmetic never meets an out-of-band value).
         msg->no_regossip = true;
-        msg->depth = static_cast<std::uint32_t>(depth);
         // One payload, one transcode, per-destination draws — the whole
         // flood goes out as a single fan-out.
         send_multi(target_scratch_, msg);
@@ -181,45 +179,29 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
           std::min<std::size_t>(config_.fanout, candidates.size());
       const auto chosen =
           rng().sample_without_replacement(candidates.size(), picks);
-      if (piggyback_source_) {
-        // Piggybacked rows are scoped per target, so every message is
-        // distinct and goes out individually.
-        for (const auto ci : chosen) {
-          const Candidate& cand = candidates[ci];
-          if (!cand.interested) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id);
-          if (target == kNoProcess) continue;
-          auto msg = std::make_shared<GossipMsg>();
-          msg->event = entry.event;
-          msg->rate = entry.rate;
-          msg->round = entry.round;
-          msg->depth = static_cast<std::uint32_t>(depth);
-          msg->piggyback = piggyback_source_(cand.id);
-          if (!msg->piggyback.empty()) msg->sender = self_;
-          send(target, std::move(msg));
-          ++stats_.gossips_sent;
-        }
-      } else {
-        // Without piggybacking the F copies are identical: share one
-        // payload through send_multi (per-destination draws unchanged).
+      // Targets that get the same piggyback snapshot (all of them without
+      // piggybacking) get the same message: each run of consecutive such
+      // targets goes out as one send_multi, which draws exactly like one
+      // send per target in the same order.
+      const std::shared_ptr<const RowBatch>* run_rows = nullptr;
+      const auto flush = [&] {
+        if (target_scratch_.empty()) return;
+        send_multi(target_scratch_, make_gossip(entry, depth, *run_rows));
+        stats_.gossips_sent += target_scratch_.size();
         target_scratch_.clear();
-        for (const auto ci : chosen) {
-          const Candidate& cand = candidates[ci];
-          if (!cand.interested) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id);
-          if (target == kNoProcess) continue;
-          target_scratch_.push_back(target);
-        }
-        if (!target_scratch_.empty()) {
-          auto msg = std::make_shared<GossipMsg>();
-          msg->event = entry.event;
-          msg->rate = entry.rate;
-          msg->round = entry.round;
-          msg->depth = static_cast<std::uint32_t>(depth);
-          send_multi(target_scratch_, msg);
-          stats_.gossips_sent += target_scratch_.size();
-        }
+      };
+      target_scratch_.clear();
+      for (const auto ci : chosen) {
+        const Candidate& cand = candidates[ci];
+        if (!cand.interested) continue;  // line 13: filter before sending
+        const ProcessId target = directory_(cand.id);
+        if (target == kNoProcess) continue;
+        const auto& rows = piggyback_for(cand.id, snapshots);
+        if (run_rows != nullptr && run_rows->get() != rows.get()) flush();
+        run_rows = &rows;
+        target_scratch_.push_back(target);
       }
+      flush();
       ++it;
     } else {
       // Fig. 3 lines 15-18: retire here, promote to the next depth.
@@ -240,6 +222,40 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
     }
   }
   for (auto& entry : promoted) buffer_event(depth + 1, std::move(entry));
+}
+
+const std::shared_ptr<const RowBatch>& PmcastNode::piggyback_for(
+    AddrId target, Snapshots& snapshots) {
+  static const std::shared_ptr<const RowBatch> kNoRows;
+  if (!piggyback_source_) return kNoRows;
+  // The rows depend on the target only through its prefix level (see
+  // PiggybackSource), so one snapshot serves the level for the period.
+  const std::size_t level =
+      std::min(views_->interns().addrs.common_prefix_length(self_id_, target),
+               config_.tree.depth - 1);
+  if (snapshots.empty()) snapshots.resize(config_.tree.depth);
+  auto& slot = snapshots[level];
+  if (!slot) {
+    auto rows = piggyback_source_(target);
+    if (rows != nullptr && rows->empty()) rows = nullptr;
+    slot = std::move(rows);
+  }
+  return *slot;
+}
+
+std::shared_ptr<GossipMsg> PmcastNode::make_gossip(
+    const Entry& entry, std::size_t depth,
+    std::shared_ptr<const RowBatch> rows) const {
+  auto msg = std::make_shared<GossipMsg>();
+  msg->event = entry.event;
+  msg->rate = entry.rate;
+  msg->round = entry.round;
+  msg->depth = static_cast<std::uint32_t>(depth);
+  if (rows != nullptr) {
+    msg->sender = SenderRef(views_->interns(), self_id_);
+    msg->piggyback = std::move(rows);
+  }
+  return msg;
 }
 
 std::size_t tuning_start_index(const EventId& id, std::size_t n) {

@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -36,7 +37,14 @@ namespace pmc {
 
 /// The gossip wire message (Fig. 3's SEND(event, rate, round, depth)).
 /// `piggyback` optionally carries membership rows (Sec. 2.3) together with
-/// the sender's address so the receiver can scope them.
+/// the sender, by handle, so the receiver can scope them.
+///
+/// The rows are a shared, immutable snapshot: the sending node builds one
+/// per gossip period and prefix level (see PmcastNode::PiggybackSource)
+/// and every message of that period to a target of that level points at
+/// the same batch. Nothing may modify it after it is attached. The sending
+/// node drops its reference when the period ends, so a snapshot lives only
+/// as long as some message in flight (or a receiver) still holds it.
 struct GossipMsg final : MessageBase {
   GossipMsg() noexcept : MessageBase(MsgKind::Gossip) {}
 
@@ -50,8 +58,9 @@ struct GossipMsg final : MessageBase {
   /// state used to be smuggled as round = uint32::max, which an adaptive
   /// round bound must never see in live arithmetic.
   bool no_regossip = false;
-  Address sender;  ///< set when piggyback is non-empty
-  RowBatch piggyback;
+  SenderRef sender;  ///< set when piggyback is set
+  /// Null when no rows ride along; otherwise a non-empty snapshot.
+  std::shared_ptr<const RowBatch> piggyback;
 };
 
 /// Recovery digests (optional, PmcastConfig::recovery_rounds): ids of
@@ -110,9 +119,20 @@ class PmcastNode final : public Process {
   /// gossip's rows are handed to sink(sender, rows) — typically wired to
   /// SyncNode::rows_to_share / SyncNode::absorb_rows, so membership spreads
   /// with events instead of (only) dedicated gossips.
-  using PiggybackSource = std::function<RowBatch(AddrId target)>;
+  ///
+  /// Snapshot contract: the rows for a target may depend on the target
+  /// only through its prefix level, the common-prefix length of self and
+  /// target (capped at d-1), as SyncNode::rows_for does. Within one
+  /// on_period the node calls the source at most once per level, on the
+  /// first target of that level, and attaches that same snapshot to every
+  /// gossip of the period for a target of that level; consecutive targets
+  /// that share a snapshot go out as one send_multi fan-out. The source may
+  /// return null or an empty batch for "nothing to piggyback". The node
+  /// keeps no snapshot past on_period: the next period asks again.
+  using PiggybackSource =
+      std::function<std::shared_ptr<const RowBatch>(AddrId target)>;
   using PiggybackSink =
-      std::function<void(const Address& sender, const RowBatch&)>;
+      std::function<void(const SenderRef& sender, const RowBatch&)>;
   void set_piggyback(PiggybackSource source, PiggybackSink sink) {
     piggyback_source_ = std::move(source);
     piggyback_sink_ = std::move(sink);
@@ -210,8 +230,23 @@ class PmcastNode final : public Process {
   /// matches in `match` for the entry that will be buffered there.
   double rate_at(std::size_t depth, const Event& e, RowMatch& match) const;
 
+  /// One period's piggyback snapshots, indexed by prefix level; a slot is
+  /// empty until that level's first target asks for it. Lives on
+  /// on_period's stack, so no snapshot outlives the period.
+  using Snapshots = std::vector<std::optional<std::shared_ptr<const RowBatch>>>;
+
   void buffer_event(std::size_t depth, Entry entry);
-  void gossip_entries_at(std::size_t depth);
+  void gossip_entries_at(std::size_t depth, Snapshots& snapshots);
+  /// The rows to piggyback on this period's gossips to `target`: its prefix
+  /// level's snapshot, taken from the source on first use; null when there
+  /// is nothing to piggyback.
+  const std::shared_ptr<const RowBatch>& piggyback_for(AddrId target,
+                                                       Snapshots& snapshots);
+  /// A gossip of `entry` at `depth`, carrying `rows` (if any) as its
+  /// piggyback.
+  std::shared_ptr<GossipMsg> make_gossip(
+      const Entry& entry, std::size_t depth,
+      std::shared_ptr<const RowBatch> rows) const;
   /// Delivers a first receipt, whose dedup slot is `slot`.
   void deliver_if_interested(const Event& e, EventDedup::Slot& slot);
   bool buffers_empty() const noexcept;
@@ -245,8 +280,9 @@ class PmcastNode final : public Process {
   /// alias). mutable because rate_at() is logically const.
   mutable std::vector<Candidate> gossip_scratch_;
   mutable std::vector<Candidate> rate_scratch_;
-  /// Resolved fan-out pids for the current round/flood, so one shared
-  /// message goes out through Network::send_multi instead of F copies.
+  /// Resolved fan-out pids for the current flood or run of same-snapshot
+  /// round targets, so one shared message goes out through
+  /// Network::send_multi instead of one copy per target.
   std::vector<ProcessId> target_scratch_;
 
   EventDedup dedup_;

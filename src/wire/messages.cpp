@@ -286,6 +286,18 @@ void decode_components(Reader& r, std::vector<AddrComponent>& out) {
   }
 }
 
+/// With `into` the sender is interned straight from its components and
+/// named by handle; without, it is the plain Address.
+SenderRef decode_sender(Reader& r, Interns* into) {
+  std::vector<AddrComponent> comps;
+  decode_components(r, comps);
+  if (into != nullptr) {
+    const AddrId id = into->addrs.intern(std::span<const AddrComponent>(comps));
+    return SenderRef(*into, id);
+  }
+  return SenderRef(Address(std::move(comps)));
+}
+
 AddrComponent decode_infix(Reader& r) {
   const std::uint64_t infix = r.varint();
   if (infix > std::numeric_limits<AddrComponent>::max())
@@ -303,6 +315,10 @@ Address decode_address(Reader& r) {
   std::vector<AddrComponent> comps;
   decode_components(r, comps);
   return Address(std::move(comps));
+}
+
+void encode(Writer& w, const SenderRef& sender) {
+  encode_components(w, sender.components());
 }
 
 void encode(Writer& w, const RowBatch& rows) {
@@ -403,11 +419,12 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
       w.varint(gossip.round);
       w.varint(gossip.depth);
       w.boolean(gossip.no_regossip);
-      const bool piggybacked = !gossip.piggyback.empty();
+      const bool piggybacked =
+          gossip.piggyback != nullptr && !gossip.piggyback->empty();
       w.boolean(piggybacked);
       if (piggybacked) {
         encode(w, gossip.sender);
-        encode(w, gossip.piggyback);
+        encode(w, *gossip.piggyback);
       }
       break;
     }
@@ -527,15 +544,15 @@ MessagePtr decode_envelope(std::span<const std::uint8_t> data,
       msg->depth = static_cast<std::uint32_t>(depth);
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
-        msg->sender = decode_address(r);
-        msg->piggyback = decode_rows(r, into);
+        msg->sender = decode_sender(r, into);
+        msg->piggyback = std::make_shared<const RowBatch>(decode_rows(r, into));
       }
       out = std::move(msg);
       break;
     }
     case MessageTag::MembershipDigest: {
       auto msg = std::make_shared<MembershipDigestMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_sender(r, into);
       msg->sender_pid = static_cast<ProcessId>(r.varint());
       const auto n = checked_count(r);
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -553,7 +570,7 @@ MessagePtr decode_envelope(std::span<const std::uint8_t> data,
     }
     case MessageTag::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_sender(r, into);
       msg->rows = decode_rows(r, into);
       out = std::move(msg);
       break;
@@ -569,7 +586,7 @@ MessagePtr decode_envelope(std::span<const std::uint8_t> data,
     }
     case MessageTag::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_sender(r, into);
       msg->rows = decode_rows(r, into);
       out = std::move(msg);
       break;
@@ -596,14 +613,14 @@ MessagePtr decode_envelope(std::span<const std::uint8_t> data,
     }
     case MessageTag::SuspectQuery: {
       auto msg = std::make_shared<SuspectQueryMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_sender(r, into);
       msg->suspect = decode_address(r);
       out = std::move(msg);
       break;
     }
     case MessageTag::SuspectReply: {
       auto msg = std::make_shared<SuspectReplyMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_sender(r, into);
       msg->suspect = decode_address(r);
       msg->heard_recently = r.boolean();
       out = std::move(msg);

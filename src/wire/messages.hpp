@@ -46,6 +46,11 @@ InterestSummary decode_summary(Reader& r);
 void encode(Writer& w, const Address& a);
 Address decode_address(Reader& r);
 
+/// A message's sender: the bytes of its address, read from the components
+/// whatever form the sender is in (a handle encodes like the Address it
+/// names).
+void encode(Writer& w, const SenderRef& sender);
+
 /// A depth-tagged row list: per row its depth, infix, delegate addresses
 /// (ids resolved through the batch's table), interest summary, process
 /// count, version and alive flag.
@@ -85,11 +90,13 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg);
 
 /// Parses a message envelope; throws DecodeError on malformed input.
 /// Membership rows (updates, view transfers, piggybacks) decode
-/// context-free, as decode_row_batch(Reader&).
+/// context-free, as decode_row_batch(Reader&), and senders as the plain
+/// Address.
 MessagePtr decode_message(std::span<const std::uint8_t> data);
 /// Same, with membership rows decoded into `into` (see
-/// decode_row_batch(Reader&, Interns&)): what a runtime's transcoder
-/// passes, so the frames it delivers share its pooled rows.
+/// decode_row_batch(Reader&, Interns&)) and senders interned there and
+/// named by handle: what a runtime's transcoder passes, so the frames it
+/// delivers share its pooled rows and interned addresses.
 MessagePtr decode_message(std::span<const std::uint8_t> data, Interns& into);
 
 }  // namespace pmc::wire

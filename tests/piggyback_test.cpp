@@ -4,7 +4,9 @@
 // is scarce.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <unordered_map>
 
 #include "harness/workload.hpp"
@@ -78,8 +80,11 @@ Stack make_stack(SimTime sync_period, bool piggyback,
     if (piggyback) {
       SyncNode* sync = s.sync_nodes[i].get();
       s.pm_nodes.back()->set_piggyback(
-          [sync](AddrId target) { return sync->rows_to_share(target); },
-          [sync](const Address& sender, const RowBatch& rows) {
+          [sync](AddrId target) {
+            return std::make_shared<const RowBatch>(
+                sync->rows_to_share(target));
+          },
+          [sync](const SenderRef& sender, const RowBatch& rows) {
             sync->absorb_rows(sender, rows);
           });
     }
@@ -93,7 +98,7 @@ TEST(Piggyback, GossipCarriesRows) {
   bool saw_piggyback = false;
   s.runtime->network().set_transcoder([&](const MessagePtr& msg) {
     if (const auto* gossip = dynamic_cast<const GossipMsg*>(msg.get())) {
-      if (!gossip->piggyback.empty()) saw_piggyback = true;
+      if (gossip->piggyback != nullptr) saw_piggyback = true;
     }
     return msg;
   });
@@ -138,7 +143,7 @@ TEST(Piggyback, NoHooksNoRows) {
   bool saw_piggyback = false;
   s.runtime->network().set_transcoder([&](const MessagePtr& msg) {
     if (const auto* gossip = dynamic_cast<const GossipMsg*>(msg.get())) {
-      if (!gossip->piggyback.empty()) saw_piggyback = true;
+      if (gossip->piggyback != nullptr) saw_piggyback = true;
     }
     return msg;
   });
@@ -158,6 +163,141 @@ TEST(Piggyback, SurvivesWireRoundTrip) {
   for (const auto& n : s.pm_nodes)
     if (n->has_delivered(EventId{0, 0})) ++delivered;
   EXPECT_EQ(delivered, s.pm_nodes.size());
+}
+
+/// Stands in for a member's pmcast process and logs every gossip it
+/// receives. The log holds the messages, so their addresses stay distinct
+/// while it is kept.
+struct Delivery {
+  ProcessId to = kNoProcess;
+  MessagePtr msg;
+};
+
+class Recorder final : public Process {
+ public:
+  Recorder(Runtime& rt, ProcessId pid, std::vector<Delivery>& log)
+      : Process(rt, pid), log_(&log) {}
+
+ protected:
+  void on_message(ProcessId, const MessagePtr& msg) override {
+    if (msg->kind == MsgKind::Gossip) log_->push_back({id(), msg});
+  }
+
+ private:
+  std::vector<Delivery>* log_;
+};
+
+TEST(Piggyback, OneSnapshotPerPeriodAndLevelSentAsOneFanOut) {
+  // A node whose targets are recorders. Per gossip period it must take one
+  // row snapshot per prefix level, attach that same batch to every gossip
+  // for a target of that level, send each run of consecutive same-level
+  // targets as one shared message, and keep no snapshot once the period
+  // is over. Fails if snapshots are built per target or kept across
+  // periods, or if same-snapshot targets get separate messages.
+  auto s = make_stack(sim_sec(100), /*piggyback=*/false);
+  const AddrInternTable& addrs = s.interns->addrs;
+  const AddrId self = addrs.find(s.members[0].address);
+  constexpr ProcessId kNode = 300;
+  constexpr ProcessId kRecorderBase = 200;
+
+  std::vector<Delivery> received;
+  std::vector<std::unique_ptr<Recorder>> recorders;
+  std::vector<ProcessId> directory(s.pm_dir.size(), kNoProcess);
+  std::map<ProcessId, std::size_t> level_of;  // recorder pid -> level
+  for (std::size_t i = 1; i < s.members.size(); ++i) {
+    const auto pid = static_cast<ProcessId>(kRecorderBase + i);
+    const AddrId id = addrs.find(s.members[i].address);
+    recorders.push_back(std::make_unique<Recorder>(*s.runtime, pid, received));
+    directory[id] = pid;
+    level_of[pid] = addrs.common_prefix_length(self, id);
+  }
+
+  PmcastConfig pc;
+  pc.tree.depth = 2;
+  pc.tree.redundancy = 2;
+  pc.fanout = 16;  // every candidate is a target
+  PmcastNode node(*s.runtime, kNode, pc, s.members[0].address,
+                  s.members[0].subscription, *s.providers[0],
+                  [&directory](AddrId id) {
+                    return id < directory.size() ? directory[id] : kNoProcess;
+                  });
+  SyncNode* sync = s.sync_nodes[0].get();
+  std::size_t calls = 0;
+  std::vector<std::weak_ptr<const RowBatch>> built;
+  node.set_piggyback(
+      [&](AddrId target) {
+        ++calls;
+        auto rows =
+            std::make_shared<const RowBatch>(sync->rows_to_share(target));
+        built.push_back(rows);
+        return rows;
+      },
+      [](const SenderRef&, const RowBatch&) {});
+  // The link filter sees every destination, in send order.
+  std::vector<ProcessId> sent_to;
+  s.runtime->network().set_link_filter([&](ProcessId from, ProcessId to) {
+    if (from == kNode) sent_to.push_back(to);
+    return true;
+  });
+
+  // Runs the node through one period tick (ticks fall on multiples of the
+  // period, deliveries take at most 0.9 ms) and checks what it sent. With
+  // `one_entry` the period gossips a single buffered event, so its sends
+  // are one round and the runs of same-level targets can be counted.
+  const auto run_period = [&](bool one_entry) {
+    calls = 0;
+    sent_to.clear();
+    received.clear();
+    s.runtime->run_for(pc.period);
+    ASSERT_FALSE(sent_to.empty());
+    ASSERT_EQ(received.size(), sent_to.size());
+
+    std::set<std::size_t> levels;
+    std::size_t runs = 0;
+    for (std::size_t k = 0; k < sent_to.size(); ++k) {
+      levels.insert(level_of.at(sent_to[k]));
+      if (k == 0 || level_of.at(sent_to[k]) != level_of.at(sent_to[k - 1]))
+        ++runs;
+    }
+    EXPECT_EQ(calls, levels.size()) << "one snapshot per level and period";
+
+    std::map<std::size_t, const RowBatch*> batch_of_level;
+    std::map<const MessageBase*, std::size_t> level_of_message;
+    for (const Delivery& d : received) {
+      const auto& gossip = static_cast<const GossipMsg&>(*d.msg);
+      ASSERT_NE(gossip.piggyback, nullptr);
+      EXPECT_EQ(gossip.sender.interns(), s.interns.get());
+      EXPECT_EQ(gossip.sender.id(), self);
+      const auto it = batch_of_level
+                          .emplace(level_of.at(d.to), gossip.piggyback.get())
+                          .first;
+      EXPECT_EQ(it->second, gossip.piggyback.get())
+          << "level " << it->first << " got two batches";
+      const auto msg =
+          level_of_message.emplace(d.msg.get(), level_of.at(d.to)).first;
+      EXPECT_EQ(msg->second, level_of.at(d.to)) << "a fan-out mixed levels";
+    }
+    EXPECT_EQ(batch_of_level.size(), levels.size());
+    if (one_entry) {
+      EXPECT_LT(runs, sent_to.size()) << "fixture: no same-level run";
+      EXPECT_EQ(level_of_message.size(), runs)
+          << "one message per run of same-level targets";
+    }
+
+    // Once the messages are gone, nothing keeps a snapshot alive: the
+    // node dropped its references when the period ended.
+    received.clear();
+    for (const auto& rows : built) EXPECT_TRUE(rows.expired());
+    built.clear();
+  };
+
+  s.runtime->run_for(pc.period / 2);  // between ticks
+  node.pmcast(make_event_at(0, 0, 0.5));
+  run_period(/*one_entry=*/true);
+  // A second event keeps the node gossiping: the next period must ask the
+  // source afresh, and share each level's batch across both events.
+  node.pmcast(make_event_at(0, 1, 0.5));
+  run_period(/*one_entry=*/false);
 }
 
 }  // namespace

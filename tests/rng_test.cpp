@@ -133,6 +133,57 @@ TEST(Rng, SampleTooManyThrows) {
   EXPECT_THROW(r.sample_without_replacement(3, 4), std::logic_error);
 }
 
+/// The algorithm sample_without_replacement replaced: partial
+/// Fisher-Yates over a materialized n-element index vector. Kept here as
+/// the oracle for the draw-for-draw property below.
+std::vector<std::size_t> reference_sample(Rng& r, std::size_t n,
+                                          std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(r.next_below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+/// Same outputs, and the generator left in the same state (so the same
+/// next_below calls were made), as the reference.
+void expect_matches_reference(std::uint64_t seed, std::size_t n,
+                              std::size_t k) {
+  Rng fast(seed), slow(seed);
+  ASSERT_EQ(fast.sample_without_replacement(n, k),
+            reference_sample(slow, n, k))
+      << "seed " << seed << " n " << n << " k " << k;
+  ASSERT_EQ(fast.next_u64(), slow.next_u64())
+      << "seed " << seed << " n " << n << " k " << k;
+}
+
+TEST(Rng, SampleMatchesIndexVectorFisherYatesOnEverySmallShape) {
+  // Every k <= n on small n, so both the swap-list path (k up to
+  // kSparseSampleLimit) and the index-vector path are covered edge to edge.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed)
+    for (std::size_t n = 0; n <= 40; ++n)
+      for (std::size_t k = 0; k <= n; ++k) expect_matches_reference(seed, n, k);
+}
+
+TEST(Rng, SampleMatchesIndexVectorFisherYatesUpToTenThousand) {
+  Rng shapes(0x5a3b1e);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + shapes.next_below(10000);
+    // Mostly fan-out sized k, sometimes just past the swap-list limit,
+    // sometimes anything up to n.
+    std::size_t k = 0;
+    switch (trial % 3) {
+      case 0: k = shapes.next_below(Rng::kSparseSampleLimit + 1); break;
+      case 1: k = Rng::kSparseSampleLimit + 1 + shapes.next_below(8); break;
+      default: k = shapes.next_below(n + 1); break;
+    }
+    expect_matches_reference(shapes.next_u64(), n, std::min(k, n));
+  }
+}
+
 TEST(Rng, SplitStreamsAreIndependent) {
   Rng parent(50);
   Rng child1 = parent.split();

@@ -81,7 +81,8 @@ canonical_messages() {
     m->round = 2;
     m->depth = 1;
     m->sender = Address::parse("1.1");
-    m->piggyback = fixture_rows({{2, canonical_row()}});
+    m->piggyback = std::make_shared<const RowBatch>(
+        fixture_rows({{2, canonical_row()}}));
     out.emplace_back("Gossip", std::move(m));
   }
   {
@@ -305,7 +306,8 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       if (rng.bernoulli(0.5)) {
         m->sender = random_address(rng);
         const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
-        m->piggyback = fixture_rows({{depth, random_row(rng)}});
+        m->piggyback = std::make_shared<const RowBatch>(
+            fixture_rows({{depth, random_row(rng)}}));
       }
       return m;
     }

@@ -505,5 +505,147 @@ TEST(WireIntoTable, FuzzTruncationsStillThrow) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Senders named by handle
+// ---------------------------------------------------------------------------
+
+/// One message of every kind that names its sender, each naming `sender`;
+/// rows, where a kind carries them, are over `rows`.
+std::vector<std::shared_ptr<MessageBase>> messages_from(const SenderRef& sender,
+                                                        Interns& rows) {
+  std::vector<std::shared_ptr<MessageBase>> out;
+  {
+    auto m = std::make_shared<GossipMsg>();
+    m->event = std::make_shared<const Event>(make_event_at(7, 1, 0.25));
+    m->rate = 0.5;
+    m->round = 2;
+    m->depth = 1;
+    m->sender = sender;
+    m->piggyback =
+        std::make_shared<const RowBatch>(three_row_update(rows).rows);
+    out.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<MembershipDigestMsg>();
+    m->sender = sender;
+    m->sender_pid = 5;
+    m->digests = {{1, 0, 10}, {2, 3, 20}};
+    out.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<MembershipUpdateMsg>(three_row_update(rows));
+    m->sender = sender;
+    out.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<ViewTransferMsg>();
+    m->sender = sender;
+    m->rows = three_row_update(rows).rows;
+    out.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<SuspectQueryMsg>();
+    m->sender = sender;
+    m->suspect = Address::parse("1.5.1");
+    out.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<SuspectReplyMsg>();
+    m->sender = sender;
+    m->suspect = Address::parse("1.5.1");
+    m->heard_recently = true;
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+const SenderRef& sender_of(const MessageBase& m) {
+  switch (m.kind) {
+    case MsgKind::Gossip: return static_cast<const GossipMsg&>(m).sender;
+    case MsgKind::MembershipDigest:
+      return static_cast<const MembershipDigestMsg&>(m).sender;
+    case MsgKind::MembershipUpdate:
+      return static_cast<const MembershipUpdateMsg&>(m).sender;
+    case MsgKind::ViewTransfer:
+      return static_cast<const ViewTransferMsg&>(m).sender;
+    case MsgKind::SuspectQuery:
+      return static_cast<const SuspectQueryMsg&>(m).sender;
+    case MsgKind::SuspectReply:
+      return static_cast<const SuspectReplyMsg&>(m).sender;
+    default: throw std::logic_error("message names no sender");
+  }
+}
+
+/// The frames of messages_from, with the sender "1.2.3" named by handle.
+std::vector<std::vector<std::uint8_t>> sender_frames(Interns& table) {
+  const SenderRef sender(table, table.addrs.intern(Address::parse("1.2.3")));
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& m : messages_from(sender, table))
+    out.push_back(wire::encode_message(*m));
+  return out;
+}
+
+TEST(WireSender, HandleEncodesLikeTheAddress) {
+  Interns table;
+  table.addrs.intern(Address::parse("9.9.9"));  // the sender's id is not 0
+  const Address address = Address::parse("1.2.3");
+  const auto by_handle =
+      messages_from(SenderRef(table, table.addrs.intern(address)), table);
+  const auto by_address = messages_from(address, table);
+  ASSERT_EQ(by_handle.size(), by_address.size());
+  for (std::size_t k = 0; k < by_handle.size(); ++k) {
+    EXPECT_NE(sender_of(*by_handle[k]).interns(), nullptr);
+    EXPECT_EQ(sender_of(*by_address[k]).interns(), nullptr);
+    EXPECT_EQ(wire::encode_message(*by_handle[k]),
+              wire::encode_message(*by_address[k]))
+        << "kind " << static_cast<int>(by_handle[k]->kind);
+  }
+}
+
+TEST(WireSender, IntoTableDecodeNamesTheTablesId) {
+  Interns sender_table;
+  const auto frames = sender_frames(sender_table);
+  Interns into;
+  into.addrs.intern(Address::parse("4.4.4"));  // ids differ from the sender's
+  into.addrs.intern(Address::parse("4.4.5"));
+  for (const auto& bytes : frames) {
+    const auto decoded = wire::decode_message(bytes, into);
+    const SenderRef& sender = sender_of(*decoded);
+    EXPECT_EQ(sender.interns(), &into);
+    EXPECT_EQ(sender.id(), into.addrs.find(Address::parse("1.2.3")));
+    EXPECT_EQ(wire::encode_message(*decoded), bytes);
+  }
+  // The sender was interned once, not once per frame.
+  EXPECT_EQ(into.addrs.size(), 2u + 3u);
+}
+
+TEST(WireSender, ContextFreeDecodeYieldsTheAddress) {
+  Interns sender_table;
+  const Address address = Address::parse("1.2.3");
+  for (const auto& bytes : sender_frames(sender_table)) {
+    const auto decoded = wire::decode_message(bytes);
+    const SenderRef& sender = sender_of(*decoded);
+    EXPECT_EQ(sender.interns(), nullptr);
+    EXPECT_EQ(sender.id(), kNoAddr);
+    EXPECT_TRUE(std::ranges::equal(sender.components(), address.components()));
+    EXPECT_EQ(sender, SenderRef(address));
+    EXPECT_EQ(wire::encode_message(*decoded), bytes);
+  }
+}
+
+TEST(WireSender, EveryTruncationStillThrows) {
+  Interns sender_table;
+  Interns into;
+  for (const auto& bytes : sender_frames(sender_table)) {
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::span<const std::uint8_t> head(bytes.data(), cut);
+      EXPECT_THROW((void)wire::decode_message(head), DecodeError)
+          << "context-free, " << cut << " of " << bytes.size();
+      EXPECT_THROW((void)wire::decode_message(head, into), DecodeError)
+          << "into a table, " << cut << " of " << bytes.size();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pmc
